@@ -96,7 +96,6 @@ from .bounds import (
     qubit_lower_bound,
     report_to_json,
     verify_bound,
-    wor_error_lower,
     worst_prob_error,
 )
 
@@ -177,7 +176,6 @@ __all__ = [
     "local_error",
     "local_error_setform",
     "worst_prob_error",
-    "wor_error_lower",
     "best_cluster",
     "extract",
     "qubit_lower_bound",

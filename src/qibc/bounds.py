@@ -32,7 +32,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .adversary import Quadrature, foil
 from .exceptions import CapacityError, PremiseViolationError, ValidationError
 from .functions import FunctionSpec, exact_integral
 from .information import m_eps, query_complexity
@@ -46,7 +45,6 @@ __all__ = [
     "local_error",
     "local_error_setform",
     "worst_prob_error",
-    "wor_error_lower",
     "best_cluster",
     "extract",
     "qubit_lower_bound",
@@ -161,11 +159,6 @@ def worst_prob_error(
         err = local_error(measure(run(a, f), a), truth)
         worst = max(worst, err)
     return worst
-
-
-def wor_error_lower(q: Quadrature, L: float) -> float:
-    """Certified lower bound on the worst-case error of the rule ``q``."""
-    return foil(q, L)
 
 
 def _sorted_entries(dist: OutcomeDistribution) -> list[tuple[float, float, int]]:

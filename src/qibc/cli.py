@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Every run is fully determined by its configuration: no hidden state, no
-randomness (``--seed`` is accepted for forward compatibility with randomized
-harnesses and recorded in the run config, but every shipped command is
-deterministic). Artifacts written for identical configurations are
+randomness. Artifacts written for identical configurations are
 byte-identical.
 
 Exit codes:
@@ -85,7 +83,6 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
     out: str | None = None
     fmt: str = "plain"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
@@ -110,8 +107,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _emit(text: str, out: str | None, summary: str) -> None:
@@ -215,10 +212,14 @@ def _cmd_foil(cfg: RunConfig) -> None:
         raise ValidationError(
             f"quadrature file must hold an object with keys design, weights: {cfg.params['quadrature']}"
         )
-    q = Quadrature(
-        design=Design(tuple(float(t) for t in node["design"])),
-        weights=tuple(float(w) for w in node["weights"]),
-    )
+    try:
+        design = tuple(float(t) for t in node["design"])
+        weights = tuple(float(w) for w in node["weights"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"quadrature design and weights must be lists of numbers: {cfg.params['quadrature']}"
+        ) from exc
+    q = Quadrature(design=Design(design), weights=weights)
     print(format_float(foil(q, cfg.params["L"])))
 
 
@@ -308,12 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=f"qibc {__version__} (schema {SCHEMA_VERSION})",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized harnesses (all shipped commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -416,7 +411,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         params["c"] = ns.c
     if fmt is None:
         fmt = "plain"
-    return RunConfig(command=ns.command, params=params, out=out, fmt=fmt, seed=ns.seed)
+    return RunConfig(command=ns.command, params=params, out=out, fmt=fmt)
 
 
 def main(argv: list[str] | None = None) -> int:

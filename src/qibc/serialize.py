@@ -23,7 +23,7 @@ from typing import Any
 
 from .exceptions import ValidationError
 
-__all__ = ["format_float", "dumps_json", "dump_json_file", "write_csv", "read_csv"]
+__all__ = ["format_float", "dumps_json", "dump_json_file", "read_csv"]
 
 #: Maximum rendered length for a container to be kept on one line.
 _INLINE_WIDTH = 100
@@ -130,13 +130,6 @@ def _format_cell(value: Any) -> str:
     raise ValidationError(f"CSV cell of type {type(value).__name__} not supported")
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write a CSV table with deterministic formatting."""
-    text = render_csv(header, rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def render_csv(header: list[str], rows: list[tuple]) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -149,9 +142,14 @@ def render_csv(header: list[str], rows: list[tuple]) -> str:
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by :func:`write_csv` (no quoting, no escapes)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    """Read CSV text as :func:`render_csv` writes it (no quoting, no escapes)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     lines = [ln for ln in raw.split("\n") if ln != ""]
     if not lines:
         raise ValidationError(f"empty CSV file: {path}")

@@ -30,16 +30,20 @@ Conventions (fixed, documented, relied on throughout):
   multiples of pi/2 are snapped to ``+-1, +-i`` so circuits built from
   H/X/phase(pi) conjugations stay numerically clean.
 
-States are immutable; every operation returns a fresh state. A dense vector
-of ``2^nu`` amplitudes caps ``nu`` at 20 (16M amplitudes).
+Every gate kind, the bit query and the measurement address qubits one way:
+the state reshaped to ``(2,)*nu``, indexed by basic slices into sub-block
+views. ``run`` owns one buffer and each kernel writes into it in place;
+``apply_gate`` and ``bit_query`` copy once and call the same kernels, so
+states stay immutable at the API. A dense vector of ``2^nu`` amplitudes caps
+``nu`` at 20 (1M amplitudes, 16 MiB).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Sequence, Union
 
 import numpy as np
@@ -206,50 +210,54 @@ def _phase_factor(theta: float) -> complex:
     return cmath.exp(1j * theta)
 
 
-def _apply_unitary(arr: np.ndarray, u: np.ndarray, targets: Sequence[int], nu: int) -> np.ndarray:
-    """Apply a k-qubit matrix to the listed qubits (first target = matrix MSB)."""
-    k = len(targets)
-    psi = arr.reshape([2] * nu)
-    psi = np.moveaxis(psi, targets, range(nu - k, nu))
-    shape = psi.shape
-    psi = psi.reshape(-1, 1 << k) @ u.T
-    psi = psi.reshape(shape)
-    psi = np.moveaxis(psi, range(nu - k, nu), targets)
-    return np.ascontiguousarray(psi).reshape(-1)
+def _block(psi: np.ndarray, targets: Sequence[int], bits: Sequence[int]) -> np.ndarray:
+    """View of the amplitudes of ``psi`` (shape ``(2,)*nu``) whose targets read ``bits``."""
+    index = [slice(None)] * psi.ndim
+    for t, b in zip(targets, bits):
+        index[t] = slice(b, b + 1)
+    return psi[tuple(index)]
 
 
-def _ones_mask(targets: Sequence[int], nu: int) -> np.ndarray:
-    idx = np.arange(1 << nu)
-    mask = np.ones(1 << nu, dtype=bool)
-    for q in targets:
-        mask &= ((idx >> (nu - 1 - q)) & 1).astype(bool)
-    return mask
+def _exchange(psi: np.ndarray, targets: Sequence[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Swap the blocks whose targets read ``a`` and ``b``: an exact permutation."""
+    x, y = _block(psi, targets, a), _block(psi, targets, b)
+    x_old = x.copy()
+    x[...] = y
+    y[...] = x_old
 
 
-def _apply_gate_array(arr: np.ndarray, g: GateOp, nu: int) -> np.ndarray:
-    if any(t >= nu for t in g.targets):
-        raise ValidationError(f"gate targets {g.targets} exceed nu={nu}")
+def _apply_matrix(psi: np.ndarray, u: np.ndarray, targets: Sequence[int]) -> None:
+    """Apply a k-qubit matrix in place; the first target is the matrix MSB."""
+    rows = list(itertools.product((0, 1), repeat=len(targets)))
+    old = [_block(psi, targets, bits).copy() for bits in rows]
+    for coeffs, bits in zip(u, rows):
+        out = _block(psi, targets, bits)
+        np.multiply(old[0], coeffs[0], out=out)
+        for c, o in zip(coeffs[1:], old[1:]):
+            out += c * o
+
+
+def _apply(psi: np.ndarray, g: GateOp) -> None:
+    """Apply ``g`` in place to ``psi``, the state reshaped to ``(2,)*nu``."""
+    if any(t >= psi.ndim for t in g.targets):
+        raise ValidationError(f"gate targets {g.targets} exceed nu={psi.ndim}")
     if g.gate == "X":
-        bit = 1 << (nu - 1 - g.targets[0])
-        return arr[np.arange(arr.size) ^ bit]
-    if g.gate == "H":
-        return _apply_unitary(arr, _H_MATRIX, g.targets, nu)
-    if g.gate in ("phase", "cphase"):
-        out = arr.copy()
-        mask = _ones_mask(g.targets, nu)
-        out[mask] *= _phase_factor(g.theta)  # type: ignore[arg-type]
-        return out
-    if g.gate == "swap":
-        a, b = g.targets
-        psi = arr.reshape([2] * nu)
-        return np.ascontiguousarray(np.swapaxes(psi, a, b)).reshape(-1)
-    u = np.array(g.matrix, dtype=np.complex128)
-    return _apply_unitary(arr, u, g.targets, nu)
+        _exchange(psi, g.targets, (0,), (1,))
+    elif g.gate == "swap":
+        _exchange(psi, g.targets, (0, 1), (1, 0))
+    elif g.gate in ("phase", "cphase"):
+        ones = _block(psi, g.targets, (1,) * len(g.targets))
+        ones *= _phase_factor(g.theta)  # type: ignore[arg-type]
+    else:
+        u = _H_MATRIX if g.gate == "H" else np.array(g.matrix, dtype=np.complex128)
+        _apply_matrix(psi, u, g.targets)
 
 
 def apply_gate(s: QState, g: GateOp) -> QState:
     """Apply one gate, returning a fresh unit-norm state."""
-    return QState(nu=s.nu, amplitudes=_apply_gate_array(s.amplitudes, g, s.nu))
+    arr = s.amplitudes.copy()
+    _apply(arr.reshape((2,) * s.nu), g)
+    return QState(nu=s.nu, amplitudes=arr)
 
 
 # --------------------------------------------------------------------------
@@ -316,19 +324,13 @@ def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     )
 
 
-@lru_cache(maxsize=64)
-def _query_permutation(f: FunctionSpec, q: QuerySpec, nu: int) -> np.ndarray:
-    if q.m_prime + q.m_double_prime > nu:
-        raise ValidationError(
-            f"query registers need {q.m_prime + q.m_double_prime} qubits, state has {nu}"
-        )
-    idx = np.arange(1 << nu)
-    codes = np.array([c for _, c in query_table(f, q)], dtype=np.int64)
-    j = idx >> (nu - q.m_prime)
-    shift = nu - q.m_prime - q.m_double_prime
-    perm = idx ^ (codes[j] << shift)
-    perm.flags.writeable = False
-    return perm
+def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:
+    """Apply ``Q_f`` in place: in index block ``j``, value ``k`` takes value ``k ^ codes[j]``."""
+    blocks = psi.reshape(1 << q.m_prime, 1 << q.m_double_prime, -1)
+    values = np.arange(1 << q.m_double_prime)
+    for block, code in zip(blocks, codes):
+        if code:
+            block[...] = block[values ^ code]
 
 
 def bit_query(s: QState, f: FunctionSpec, q: QuerySpec) -> QState:
@@ -337,8 +339,13 @@ def bit_query(s: QState, f: FunctionSpec, q: QuerySpec) -> QState:
     An exact permutation of basis states — amplitudes are moved bitwise, never
     scaled — and an involution (XOR-ing the same code twice is the identity).
     """
-    perm = _query_permutation(f, q, s.nu)
-    return QState(nu=s.nu, amplitudes=s.amplitudes[perm])
+    if q.m_prime + q.m_double_prime > s.nu:
+        raise ValidationError(
+            f"query registers need {q.m_prime + q.m_double_prime} qubits, state has {s.nu}"
+        )
+    arr = s.amplitudes.copy()
+    _query(arr, [c for _, c in query_table(f, q)], q)
+    return QState(nu=s.nu, amplitudes=arr)
 
 
 # --------------------------------------------------------------------------
@@ -451,16 +458,16 @@ def run(a: AlgorithmSpec, f: FunctionSpec | None = None, cap: int = MAX_QUBITS) 
         raise ValidationError(f"algorithm makes {a.num_queries} queries; a function is required")
     arr = np.zeros(1 << a.nu, dtype=np.complex128)
     arr[0] = 1.0
-    perm = None
+    psi = arr.reshape((2,) * a.nu)
+    codes = []
     if a.num_queries > 0:
         assert a.query is not None and f is not None
-        perm = _query_permutation(f, a.query, a.nu)
+        codes = [c for _, c in query_table(f, a.query)]
     for i, layer in enumerate(a.layers):
         for g in layer:
-            arr = _apply_gate_array(arr, g, a.nu)
+            _apply(psi, g)
         if i < a.num_queries:
-            assert perm is not None
-            arr = arr[perm]
+            _query(psi, codes, a.query)  # type: ignore[arg-type]
     return QState(nu=a.nu, amplitudes=arr)
 
 
@@ -498,15 +505,12 @@ def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
     """Exact distribution of the measured register, all ``M`` outcomes listed."""
     if s.nu != a.nu:
         raise ValidationError(f"state has {s.nu} qubits, algorithm expects {a.nu}")
-    nu = s.nu
-    width = len(a.measure)
-    idx = np.arange(1 << nu)
-    j = np.zeros(1 << nu, dtype=np.int64)
-    for pos, q in enumerate(a.measure):
-        j |= ((idx >> (nu - 1 - q)) & 1) << (width - 1 - pos)
-    p = np.bincount(j, weights=np.abs(s.amplitudes) ** 2, minlength=1 << width)
+    p = (np.abs(s.amplitudes) ** 2).reshape((2,) * s.nu)
+    p = p.sum(axis=tuple(q for q in range(s.nu) if q not in a.measure))
+    kept = sorted(a.measure)
+    p = p.transpose([kept.index(q) for q in a.measure]).reshape(-1)
     entries = tuple(
-        (int(k), float(p[k]), a.decode_outcome(int(k))) for k in range(1 << width)
+        (int(k), float(p[k]), a.decode_outcome(int(k))) for k in range(a.outcome_count)
     )
     return OutcomeDistribution(entries=entries)
 

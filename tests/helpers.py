@@ -118,6 +118,13 @@ def random_lipschitz_pwl(
     return pwl(tuple(zip(xs, ys)), Promise(L, lo, hi))
 
 
+def random_unitary(rng: np.random.Generator, k: int) -> tuple[tuple[complex, ...], ...]:
+    """A random ``2^k x 2^k`` unitary (QR of a complex Gaussian matrix), as rows."""
+    z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    u, _ = np.linalg.qr(z)
+    return tuple(tuple(complex(v) for v in row) for row in u)
+
+
 def random_gate(rng: np.random.Generator, nu: int) -> GateOp:
     """One random gate of any supported kind on a ``nu``-qubit register."""
     kind = rng.choice(["X", "H", "phase", "cphase", "swap", "unitary"])
@@ -132,9 +139,9 @@ def random_gate(rng: np.random.Generator, nu: int) -> GateOp:
         k = int(rng.integers(2, min(4, nu) + 1))
         targets = tuple(int(q) for q in rng.choice(nu, size=k, replace=False))
         return GateOp(kind, targets, theta=float(rng.uniform(-6, 6)))
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u, _ = np.linalg.qr(z)
-    return GateOp("unitary", (int(rng.integers(nu)),), matrix=tuple(tuple(row) for row in u))
+    k = int(rng.integers(1, min(2, nu) + 1))
+    targets = tuple(int(q) for q in rng.choice(nu, size=k, replace=False))
+    return GateOp("unitary", targets, matrix=random_unitary(rng, k))
 
 
 def planted_distribution(

@@ -257,8 +257,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
          "--out", "OUT:table.csv"],
         ["fooling-pair", "--design", "0.2,0.8", "--L", "1.5", "--out", "OUT:pair.json"],
         ["foil", "--quadrature", str(quad), "--L", "1"],
-        ["--seed", "7", "simulate", "--alg", str(alg_path), "--f", str(f_path),
-         "--out", "OUT:dist.csv"],
+        ["simulate", "--alg", str(alg_path), "--f", str(f_path), "--out", "OUT:dist.csv"],
         ["error", "--dist", str(tiny), "--truth", "1.0"],
         ["error", "--dist", str(tiny), "--truth", "1.0", "--brute-force"],
         ["extract", "--dist", str(tiny), "--eps", "0.2"],

