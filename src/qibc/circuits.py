@@ -5,9 +5,11 @@ Two constructions exercise the query model end to end:
 ``build_reversible_midpoint``
     A fully classical-reversible circuit that visits every grid point in
     sequence — X-prepare the index register, query, add the value register
-    into an accumulator with multi-controlled ripple increments, query again
-    to uncompute — and measures the accumulator. The result is a point mass
-    whose decoded value is the discretized composite midpoint estimate
+    into an accumulator with multi-controlled ripple increments (native
+    ``mcx`` gates), query again to uncompute — and measures the accumulator.
+    Every gate and query is an exact permutation of basis states, so the
+    result is a point mass of probability exactly 1 whose decoded value is
+    the discretized composite midpoint estimate
     ``2^{-m'} * sum_j (lo + span * beta_j / 2^{m''})``. Registers: index
     ``m'`` | value ``m''`` | accumulator ``m' + m''`` (wide enough that the
     sum of ``2^{m'}`` codes below ``2^{m''}`` can never overflow), so
@@ -95,14 +97,15 @@ def inverse_qft_gates(qubits: tuple[int, ...]) -> tuple[GateOp, ...]:
 
 
 def mcx_gates(controls: tuple[int, ...], target: int) -> tuple[GateOp, ...]:
-    """Multi-controlled X as an H / cphase(pi) / H sandwich on the target."""
+    """Multi-controlled X: flip ``target`` when every control is 1.
+
+    One native ``mcx`` gate (controls first, target last), which the simulator
+    applies as an exact exchange of the two blocks whose controls all read 1;
+    plain X when there are no controls.
+    """
     if not controls:
         return (GateOp("X", (target,)),)
-    return (
-        GateOp("H", (target,)),
-        GateOp("cphase", tuple(controls) + (target,), theta=math.pi),
-        GateOp("H", (target,)),
-    )
+    return (GateOp("mcx", tuple(controls) + (target,)),)
 
 
 class _LayerBuilder:

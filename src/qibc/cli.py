@@ -58,8 +58,9 @@ from .simulator import (
 
 __all__ = ["SCHEMA_VERSION", "RunConfig", "dispatch", "complexity_table_rows", "main", "entrypoint"]
 
-#: Version of the JSON/CSV artifact schemas.
-SCHEMA_VERSION = "1"
+#: Version of the JSON/CSV artifact schemas. Schema 2 adds the ``mcx`` gate
+#: kind to algorithm JSON; schema-1 documents still load unchanged.
+SCHEMA_VERSION = "2"
 
 _COMMANDS = (
     "radius",

@@ -26,9 +26,11 @@ Conventions (fixed, documented, relied on throughout):
 * ``tau`` defaults to midpoints ``(2j+1)/2^{m'+1}``, bitwise the same floats
   as the radius-optimal design on ``2^{m'}`` points; ``j/2^{m'}``
   (left-endpoint) is available for comparison;
-* gates: X and swap permute amplitudes exactly; phase factors at exact
-  multiples of pi/2 are snapped to ``+-1, +-i`` so circuits built from
-  H/X/phase(pi) conjugations stay numerically clean.
+* gates: X, swap and ``mcx`` permute amplitudes exactly, so a circuit built
+  from them alone (the reversible midpoint integrator) maps ``|0...0>`` to a
+  basis state with amplitude exactly 1; phase factors at exact multiples of
+  pi/2 are snapped to ``+-1, +-i`` so circuits built from H/X/phase(pi)
+  conjugations stay numerically clean.
 
 Every gate kind, the bit query and the measurement address qubits one way:
 the state reshaped to ``(2,)*nu``, indexed by basic slices into sub-block
@@ -88,7 +90,7 @@ NORM_TOL = 1e-12
 #: Tolerance on unitarity of explicit gate matrices.
 _UNITARY_TOL = 1e-10
 
-_GATE_KINDS = ("X", "H", "phase", "cphase", "swap", "unitary")
+_GATE_KINDS = ("X", "mcx", "H", "phase", "cphase", "swap", "unitary")
 _TAU_RULES = ("midpoint", "left-endpoint")
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -157,6 +159,8 @@ class GateOp:
     ``phase`` multiplies by ``e^{i*theta}`` when its single target is 1;
     ``cphase`` does the same when *all* of its >= 2 targets are 1 (the gate is
     diagonal and symmetric, so there is no control/target distinction).
+    ``mcx`` flips its *last* target when all of its other (>= 1) targets,
+    the controls, are 1.
     """
 
     gate: str
@@ -175,8 +179,8 @@ class GateOp:
         if any(t < 0 for t in tg):
             raise ValidationError(f"negative qubit index in {tg}")
         object.__setattr__(self, "targets", tg)
-        arity = {"X": (1, 1), "H": (1, 1), "phase": (1, 1), "swap": (2, 2),
-                 "cphase": (2, 64), "unitary": (1, 2)}[self.gate]
+        arity = {"X": (1, 1), "mcx": (2, 64), "H": (1, 1), "phase": (1, 1),
+                 "swap": (2, 2), "cphase": (2, 64), "unitary": (1, 2)}[self.gate]
         if not arity[0] <= len(tg) <= arity[1]:
             raise ValidationError(f"{self.gate} gate on {len(tg)} targets")
         if self.gate in ("phase", "cphase"):
@@ -241,8 +245,9 @@ def _apply(psi: np.ndarray, g: GateOp) -> None:
     """Apply ``g`` in place to ``psi``, the state reshaped to ``(2,)*nu``."""
     if any(t >= psi.ndim for t in g.targets):
         raise ValidationError(f"gate targets {g.targets} exceed nu={psi.ndim}")
-    if g.gate == "X":
-        _exchange(psi, g.targets, (0,), (1,))
+    if g.gate in ("X", "mcx"):  # X is mcx with no controls
+        on = (1,) * (len(g.targets) - 1)
+        _exchange(psi, g.targets, on + (0,), on + (1,))
     elif g.gate == "swap":
         _exchange(psi, g.targets, (0, 1), (1, 0))
     elif g.gate in ("phase", "cphase"):

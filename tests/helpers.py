@@ -127,13 +127,17 @@ def random_unitary(rng: np.random.Generator, k: int) -> tuple[tuple[complex, ...
 
 def random_gate(rng: np.random.Generator, nu: int) -> GateOp:
     """One random gate of any supported kind on a ``nu``-qubit register."""
-    kind = rng.choice(["X", "H", "phase", "cphase", "swap", "unitary"])
+    kind = rng.choice(["X", "mcx", "H", "phase", "cphase", "swap", "unitary"])
     if kind in ("X", "H"):
         return GateOp(kind, (int(rng.integers(nu)),))
     if kind == "phase":
         return GateOp(kind, (int(rng.integers(nu)),), theta=float(rng.uniform(-6, 6)))
     if kind == "swap":
         targets = tuple(int(q) for q in rng.choice(nu, size=2, replace=False))
+        return GateOp(kind, targets)
+    if kind == "mcx":  # controls first, flipped qubit last
+        k = int(rng.integers(1, min(3, nu - 1) + 1))
+        targets = tuple(int(q) for q in rng.choice(nu, size=k + 1, replace=False))
         return GateOp(kind, targets)
     if kind == "cphase":
         k = int(rng.integers(2, min(4, nu) + 1))

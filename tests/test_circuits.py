@@ -94,7 +94,7 @@ class TestMcx:
             want = j ^ 1 if (j >> 1) & 0b11 == 0b11 else j
             k = int(np.argmax(np.abs(out)))
             assert k == want
-            assert abs(out[k] - 1.0) < 1e-12
+            assert out[k] == 1.0
 
     def test_single_control_is_cnot(self):
         gates = mcx_gates((0,), 1)
@@ -102,14 +102,14 @@ class TestMcx:
             amps = np.zeros(4, dtype=complex)
             amps[j] = 1.0
             out = np.asarray(_apply_all(QState(2, amps), gates).amplitudes)
-            assert abs(out[want] - 1.0) < 1e-12
+            assert out[want] == 1.0
 
     def test_three_controls(self):
         gates = mcx_gates((0, 1, 2), 3)
         amps = np.zeros(16, dtype=complex)
         amps[0b1110] = 1.0
         out = np.asarray(_apply_all(QState(4, amps), gates).amplitudes)
-        assert abs(out[0b1111] - 1.0) < 1e-12
+        assert out[0b1111] == 1.0
 
 
 class TestMidpointCircuit:
@@ -133,6 +133,23 @@ class TestMidpointCircuit:
         assert top[1] >= 1.0 - 1e-9
         assert alg.num_queries == 2 * (1 << m_prime)
         assert alg.nu == 2 * (m_prime + m_double_prime)
+
+    @pytest.mark.parametrize(
+        "m_prime, m_double_prime, f, lo, hi",
+        [
+            (1, 2, RAMP, 0.0, 1.0),
+            (2, 3, HAT, -1.0, 1.0),
+            (3, 3, HAT, 0.0, 1.0),
+            (2, 8, RAMP, 0.0, 1.0),
+        ],
+    )
+    def test_point_mass_is_exact(self, m_prime, m_double_prime, f, lo, hi):
+        # X, mcx and the query only move amplitudes, so the mass is exactly 1
+        alg, dist = build_reversible_midpoint(m_prime, m_double_prime, f, lo, hi)
+        q = alg.query
+        code = sum(beta_code(feval(f, tau_point(j, q)), q) for j in range(1 << m_prime))
+        assert dist.entries[code][1] == 1.0
+        assert all(p == 0.0 for j, p, _ in dist.entries if j != code)
 
     def test_single_point_mass(self):
         _, dist = build_reversible_midpoint(2, 3, HAT, -1.0, 1.0)

@@ -275,7 +275,7 @@ class TestHarness:
     def test_version_string(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
-        assert out == "qibc 0.1.0 (schema 1)\n"
+        assert out == "qibc 0.1.0 (schema 2)\n"
 
     def test_no_command_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -299,7 +299,7 @@ class TestHarness:
             )
 
         version = run("--version")
-        assert (version.returncode, version.stdout) == (0, "qibc 0.1.0 (schema 1)\n")
+        assert (version.returncode, version.stdout) == (0, "qibc 0.1.0 (schema 2)\n")
         unknown = run("frobnicate")
         assert unknown.returncode == 2
         assert "Traceback" not in unknown.stderr

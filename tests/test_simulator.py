@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from qibc import (
     distribution_from_csv,
     distribution_to_csv,
     measure,
+    midpoint_algorithm,
     optimal_design,
     pwl,
     query_table,
@@ -110,6 +112,20 @@ class TestGates:
         with pytest.raises(ValidationError):
             GateOp("cphase", (0,), theta=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"targets": (0,)},
+            {"targets": (0, 1), "theta": math.pi},
+            {"targets": (0, 1), "matrix": ((0.0, 1.0), (1.0, 0.0))},
+            {"targets": (2, 0, 2)},
+        ],
+        ids=["one-target", "theta", "matrix", "duplicate"],
+    )
+    def test_mcx_validation(self, kwargs):
+        with pytest.raises(ValidationError):
+            GateOp("mcx", **kwargs)
+
     def test_theta_required(self):
         with pytest.raises(ValidationError):
             GateOp("phase", (0,))
@@ -140,6 +156,9 @@ def _oracle_matrix(g: GateOp, nu: int) -> np.ndarray:
     mask = [1 << (nu - 1 - q) for q in g.targets]
     if g.gate == "X":
         return np.eye(dim)[[i ^ mask[0] for i in range(dim)]]
+    if g.gate == "mcx":  # flip the last target where every other target is 1
+        on = [all(i & m for m in mask[:-1]) for i in range(dim)]
+        return np.eye(dim)[[i ^ mask[-1] if o else i for i, o in enumerate(on)]]
     if g.gate == "swap":
         a, b = g.targets
         flips = [_bit(i, a, nu) != _bit(i, b, nu) for i in range(dim)]
@@ -182,6 +201,12 @@ class TestGateOracle:
         "g",
         [
             GateOp("X", (2,)),
+            GateOp("mcx", (1, 3)),
+            GateOp("mcx", (3, 0)),
+            GateOp("mcx", (4, 0, 2)),
+            GateOp("mcx", (0, 3, 1)),
+            GateOp("mcx", (1, 2, 4, 0)),
+            GateOp("mcx", (4, 0, 1, 2)),
             GateOp("H", (0,)),
             GateOp("H", (4,)),
             GateOp("phase", (3,), theta=0.7),
@@ -201,6 +226,27 @@ class TestGateOracle:
             s = _random_state(rng, 5)
             got = amps(apply_gate(s, g))
             assert np.max(np.abs(got - m @ amps(s))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "controls, target",
+        [((0,), 1), ((3,), 0), ((4, 0), 2), ((0, 3), 1), ((1, 2, 4), 0), ((4, 0, 1), 2)],
+    )
+    def test_mcx_matches_h_cphase_h_sandwich(self, controls, target):
+        # the construction mcx replaced: H on the target, cphase(pi), H again
+        sandwich = (
+            GateOp("H", (target,)),
+            GateOp("cphase", controls + (target,), theta=math.pi),
+            GateOp("H", (target,)),
+        )
+        native = GateOp("mcx", controls + (target,))
+        rng = np.random.default_rng(80)
+        for _ in range(3):
+            s = _random_state(rng, 5)
+            want = s
+            for g in sandwich:
+                want = apply_gate(want, g)
+            got = amps(apply_gate(s, native))
+            assert np.max(np.abs(got - amps(want))) < 1e-12
 
     def test_bit_query_matches_xor_permutation(self):
         # index j (2 qubits), value k (2 qubits), one workspace qubit w
@@ -418,6 +464,27 @@ class TestSerialization:
         assert set(doc) == {"nu", "query", "layers", "measure", "decode"}
         assert doc["layers"][0][0] == {"gate": "H", "targets": [0]}
         assert doc["decode"] == {"scale": 0.5, "offset": -1.0}
+
+    def test_schema_1_sandwich_json_still_loads(self):
+        # schema 1 wrote every multi-controlled X as H . cphase(pi) . H
+        native = midpoint_algorithm(2, 3, -1.0, 1.0)
+        f = pwl(((0.0, -0.9), (0.5, 0.4), (1.0, 0.1)))
+        doc = algorithm_to_json(native)
+
+        def sandwich(g: dict) -> list[dict]:
+            if g["gate"] != "mcx":
+                return [g]
+            h = {"gate": "H", "targets": g["targets"][-1:]}
+            return [h, {"gate": "cphase", "targets": g["targets"], "theta": math.pi}, h]
+
+        old_layers = [[o for g in layer for o in sandwich(g)] for layer in doc["layers"]]
+        assert old_layers != doc["layers"]
+        old = algorithm_from_json(json.loads(json.dumps({**doc, "layers": old_layers})))
+        assert all(g.gate != "mcx" for layer in old.layers for g in layer)
+        want = measure(run(native, f), native)
+        got = measure(run(old, f), old)
+        assert [(j, phi) for j, _, phi in got.entries] == [(j, phi) for j, _, phi in want.entries]
+        assert max(abs(a[1] - b[1]) for a, b in zip(got.entries, want.entries)) < 1e-12
 
     def test_sin2_decode_round_trip(self):
         a = AlgorithmSpec(2, None, ((),), (0,), Sin2Decode())
