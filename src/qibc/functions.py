@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .exceptions import DomainError, ValidationError
@@ -158,8 +159,9 @@ def trig(coefficients: Iterable[float], promise: Promise | None = None) -> Funct
 def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the public API
     """Evaluate ``f`` at ``x`` in [0, 1].
 
-    Exact at pwl breakpoints: evaluating at a breakpoint returns its stored
-    ``y`` bitwise, never a reinterpolation.
+    A pwl segment is found by bisection over the breakpoints, O(log n) per
+    call. Exact at pwl breakpoints: evaluating at a breakpoint returns its
+    stored ``y`` bitwise, never a reinterpolation.
     """
     x = float(x)
     if not 0.0 <= x <= 1.0:
@@ -169,7 +171,7 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     if f.family == "pwl":
         pts = f.points
         assert pts is not None
-        i = bisect_right([p[0] for p in pts], x) - 1
+        i = bisect_right(pts, x, key=itemgetter(0)) - 1
         if i >= len(pts) - 1:
             i = len(pts) - 2
         x0, y0 = pts[i]

@@ -45,8 +45,9 @@ __all__ = [
     "query_complexity",
 ]
 
-#: Additive tolerance for the pairwise data-consistency test. Marginally
-#: inconsistent data is rejected, never repaired.
+#: Additive tolerance for the data-consistency test, applied to every pair
+#: (checked in one pass). Marginally inconsistent data is rejected, never
+#: repaired.
 CONSISTENCY_TOL = 1e-12
 
 #: Maximum one-ulp nudges applied to a single envelope breakpoint.
@@ -134,14 +135,28 @@ def observe(f: FunctionSpec, d: Design) -> DataVector:
 
 
 def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> None:
-    n = len(ts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + CONSISTENCY_TOL:
-                raise InfeasibleDataError(
-                    f"data not Lipschitz-{L} consistent at points "
-                    f"t={ts[i]}, t={ts[j]}: |{ys[i]} - {ys[j]}| > L*dt"
-                )
+    """Pairwise test ``|y_i - y_j| <= L (t_j - t_i) + tol`` in one pass.
+
+    A pair ``i < j`` fails iff ``y_i + L t_i > y_j + L t_j + tol`` or
+    ``y_i - L t_i < y_j - L t_j - tol``, so each ``j`` is tested against the
+    running maximum of the first key and the running minimum of the second.
+    Rounding can make those the wrong partners only within a few ulps of the
+    edge; within ``1e-14 (L + max|y|)`` of it, every ``i < j`` is rescanned.
+    """
+    near = CONSISTENCY_TOL - 1e-14 * (L + max(map(abs, ys)))
+    hi = lo = 0
+    for j in range(1, len(ts)):
+        if any(abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + near for i in (hi, lo)):
+            for i in range(j):
+                if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + CONSISTENCY_TOL:
+                    raise InfeasibleDataError(
+                        f"data not Lipschitz-{L} consistent at points "
+                        f"t={ts[i]}, t={ts[j]}: |{ys[i]} - {ys[j]}| > L*dt"
+                    )
+        if ys[j] + L * ts[j] > ys[hi] + L * ts[hi]:
+            hi = j
+        if ys[j] - L * ts[j] < ys[lo] - L * ts[lo]:
+            lo = j
 
 
 def _upper_breakpoints(
@@ -279,7 +294,8 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
     """Exact upper/lower envelopes of the Lipschitz-``L`` class given data.
 
     Raises :class:`InfeasibleDataError` when no Lipschitz-``L`` function
-    matches the data (pairwise check, additive tolerance 1e-12).
+    matches the data (every pair checked in one pass, additive tolerance
+    1e-12).
     """
     L = float(L)
     if not math.isfinite(L) or L < 0.0:

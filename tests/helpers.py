@@ -2,16 +2,20 @@
 
 Everything here is deliberately written *differently* from the library code it
 checks (Riemann sums instead of exact breakpoint integration, brute-force
-subset scans instead of greedy prefixes) so that agreement is evidence, not
-tautology.
+subset scans instead of greedy prefixes, all-pairs loops instead of one-pass
+checks) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 
+import qibc
 from qibc import (
     Design,
     FunctionSpec,
@@ -20,6 +24,15 @@ from qibc import (
     Promise,
     pwl,
 )
+
+
+def package_env() -> dict[str, str]:
+    """``os.environ`` with the directory holding the imported ``qibc`` first on
+    ``PYTHONPATH``, so child interpreters run the code under test."""
+    package_root = str(Path(qibc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +51,44 @@ def riemann_min_dist_integral(points: tuple[float, ...], L: float, panels: int =
     left = np.where(idx > 0, x - t[np.clip(idx - 1, 0, len(t) - 1)], np.inf)
     right = np.where(idx < len(t), t[np.clip(idx, 0, len(t) - 1)] - x, np.inf)
     return L * float(np.minimum(left, right).mean())
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles
+# ---------------------------------------------------------------------------
+
+def pairwise_consistent(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> bool:
+    """All-pairs O(n^2) form of the data-consistency test (tolerance 1e-12).
+
+    Every pair ``i < j`` is tested with ``|y_i - y_j| <= L (t_j - t_i) + tol``
+    exactly as written, in float arithmetic.
+    """
+    n = len(ts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + 1e-12:
+                return False
+    return True
+
+
+def list_rebuild_eval(f: FunctionSpec, x: float) -> float:
+    """Piecewise-linear evaluation that rebuilds the x-list on every call.
+
+    Locates the segment by bisecting a fresh list of breakpoint abscissae,
+    then interpolates; a breakpoint returns its stored ordinate.
+    """
+    pts = f.points
+    assert pts is not None
+    i = bisect_right([p[0] for p in pts], x) - 1
+    if i >= len(pts) - 1:
+        i = len(pts) - 2
+    x0, y0 = pts[i]
+    x1, y1 = pts[i + 1]
+    if x == x0:
+        return y0
+    if x == x1:
+        return y1
+    return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
 def riemann_envelope_integrals(

@@ -19,6 +19,7 @@ from qibc import (
 )
 from qibc.cli import main
 from qibc.serialize import dump_json_file
+from helpers import package_env
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -286,6 +287,7 @@ class TestHarness:
     def test_cli_module_main_guard(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qibc.cli", "meps", "--L", "1", "--eps", "0.05"],
+            env=package_env(),
             capture_output=True,
             text=True,
         )
@@ -295,7 +297,10 @@ class TestHarness:
     def test_python_m_qibc_keeps_exit_codes(self):
         def run(*argv: str) -> subprocess.CompletedProcess:
             return subprocess.run(
-                [sys.executable, "-m", "qibc", *argv], capture_output=True, text=True
+                [sys.executable, "-m", "qibc", *argv],
+                env=package_env(),
+                capture_output=True,
+                text=True,
             )
 
         version = run("--version")
@@ -335,6 +340,7 @@ class TestUnreadableInputExits2:
         d, f = files
         proc = subprocess.run(
             [sys.executable, "-m", "qibc", *(a.format(d=d, f=f) for a in argv)],
+            env=package_env(),
             capture_output=True,
             text=True,
         )

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import package_env
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -21,6 +23,7 @@ def test_demo_runs_clean(script: Path):
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=ROOT,
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=120,

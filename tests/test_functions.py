@@ -22,7 +22,7 @@ from qibc import (
     pwl,
     trig,
 )
-from helpers import random_lipschitz_pwl, riemann_integral
+from helpers import list_rebuild_eval, random_lipschitz_pwl, riemann_integral
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), Promise(1.0, -1.0, 1.0))
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)), Promise(1.0, 0.0, 1.0))
@@ -50,6 +50,20 @@ class TestEval:
         xs = rng.uniform(0.0, 1.0, size=64)
         vec = eval_many(f, xs)
         assert [feval(f, float(x)) for x in xs] == list(vec)
+
+    @pytest.mark.parametrize("k", [2, 3, 31, 150, 300])
+    def test_bitwise_equal_to_list_rebuild_oracle(self, k):
+        rng = np.random.default_rng(900 + k)
+        xs = [0.0, *sorted(set(rng.uniform(0.0, 1.0, size=k - 2).tolist()) - {0.0}), 1.0]
+        ys = [float(rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0])) for _ in xs]
+        f = pwl(tuple(zip(xs, ys)))
+        probes = [0.0, 1.0, *rng.uniform(0.0, 1.0, size=200).tolist()]
+        for x in xs:
+            probes += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
+        for x in probes:
+            assert feval(f, x).hex() == list_rebuild_eval(f, x).hex()
+        for x, y in f.points:
+            assert feval(f, x).hex() == y.hex()
 
     def test_domain_enforced(self):
         with pytest.raises(ValidationError):

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qibc.information as information
 from qibc import (
     DataVector,
     Design,
     InfeasibleDataError,
+    Promise,
     ValidationError,
+    check_promise,
     constant,
     envelopes,
     eval as feval,
@@ -26,6 +30,7 @@ from qibc import (
     worst_radius,
 )
 from helpers import (
+    pairwise_consistent,
     random_consistent_data,
     random_design,
     random_lipschitz_pwl,
@@ -35,6 +40,26 @@ from helpers import (
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)))
+
+#: Offsets from the tolerance edge ``L dt + 1e-12`` for a planted pair.
+EDGE_OFFSETS = (1e-13, -1e-13, 1e-15, -1e-15, 1e-17, -1e-17, 0.0)
+
+
+@st.composite
+def walk_data(draw):
+    """Design, consistent random-walk data and ``L``; with probability 0.7 one
+    pair ``i < j`` is moved onto the tolerance edge ``L dt + 1e-12 +/- delta``."""
+    ts = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    L = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.1, 5.0))
+    ys = [draw(st.floats(-1.0, 1.0))]
+    for a, b in zip(ts, ts[1:]):
+        ys.append(ys[-1] + draw(st.floats(-1.0, 1.0)) * L * (b - a))
+    if len(ts) >= 2 and draw(st.integers(0, 9)) < 7:
+        i, j = sorted(draw(st.sets(st.integers(0, len(ts) - 1), min_size=2, max_size=2)))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        edge = L * (ts[j] - ts[i]) + 1e-12 + draw(st.sampled_from(EDGE_OFFSETS))
+        ys[j] = ys[i] + sign * edge
+    return tuple(ts), tuple(ys), L
 
 
 class TestObserve:
@@ -106,6 +131,62 @@ class TestEnvelopes:
         lo, hi = riemann_envelope_integrals(d.points, y, 1.0, panels=1_000_000)
         assert rep.h_lo == pytest.approx(lo, abs=1e-9)
         assert rep.h_hi == pytest.approx(hi, abs=1e-9)
+
+
+class TestConsistencyCheck:
+    @given(walk_data())
+    @settings(max_examples=1000, deadline=None)
+    def test_verdict_matches_all_pairs_oracle(self, case):
+        ts, ys, L = case
+        try:
+            information._check_consistency(ts, ys, L)
+        except InfeasibleDataError as exc:
+            assert not pairwise_consistent(ts, ys, L)
+            t_i, t_j = (float(t) for t in re.search(r"t=(\S+), t=(\S+):", str(exc)).groups())
+            i, j = ts.index(t_i), ts.index(t_j)
+            assert i < j
+            assert abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + 1e-12
+        else:
+            assert pairwise_consistent(ts, ys, L)
+
+    def test_tight_step_then_pair_on_tolerance_edge(self):
+        # 0.08 -> 0.23 rises at slope exactly L, so both points carry the same
+        # running key up to rounding; only the pair (0.08, 0.5) crosses the edge
+        ts, ys = (0.08, 0.23, 0.5), (0.1, 0.25, 0.520000000001)
+        assert not pairwise_consistent(ts, ys, 1.0)
+        with pytest.raises(InfeasibleDataError, match="t=0.08, t=0.5"):
+            envelopes(Design(ts), DataVector(ys), 1.0)
+
+    def test_drift_of_adjacent_slack_rejected(self):
+        # every adjacent pair sits just inside the tolerance; the ends do not
+        ts = tuple(i / 8 for i in range(9))
+        ys = tuple(i * (0.125 + 0.9e-12) for i in range(9))
+        assert not pairwise_consistent(ts, ys, 1.0)
+        with pytest.raises(InfeasibleDataError):
+            envelopes(Design(ts), DataVector(ys), 1.0)
+
+
+class TestSaggedOrdinate:
+    def test_reached_by_design_points_two_ulp_apart(self, monkeypatch):
+        calls = []
+        real = information._sagged_ordinate
+        monkeypatch.setattr(
+            information, "_sagged_ordinate", lambda *a: calls.append(a) or real(*a)
+        )
+        t1 = 0.3
+        t2 = math.nextafter(math.nextafter(t1, 1.0), 1.0)
+        for y2 in (0.0, 1e-17, -1e-17, 2e-17):
+            before = len(calls)
+            env = envelopes(Design((t1, t2)), DataVector((0.0, y2)), 1.0)
+            if y2 != 0.0:
+                assert len(calls) > before
+            assert check_promise(env.upper, Promise(1.0, -1.0, 1.0), 2)
+            assert check_promise(env.lower, Promise(1.0, -1.0, 1.0), 2)
+            for x, _ in env.upper.points + env.lower.points:
+                assert feval(env.lower, x) <= feval(env.upper, x)
+            for t, y in ((t1, 0.0), (t2, y2)):
+                assert feval(env.upper, t).hex() == y.hex()
+                assert feval(env.lower, t).hex() == y.hex()
 
 
 class TestIntervalH:

@@ -20,7 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import qibc
+from helpers import package_env
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -62,10 +62,8 @@ def _shim_env(bin_dir: Path) -> dict[str, str]:
         shim = bin_dir / name
         shim.write_text(f'#!/bin/sh\nexec {argv} "$@"\n', encoding="utf-8")
         shim.chmod(0o755)
-    package_root = str(Path(qibc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = package_env()
     env["PATH"] = os.pathsep.join(filter(None, (str(bin_dir), env.get("PATH"))))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     return env
 
 
