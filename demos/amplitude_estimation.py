@@ -9,7 +9,7 @@ exactly 1/2, the Grover phase is dyadic, and the distribution collapses onto
 the exact answer.
 """
 
-from qibc import best_cluster, build_ae_mean, local_error, measure, pwl, run
+from qibc import best_cluster, build_ae_mean, distribution, local_error, pwl
 
 ramp = pwl([(0.0, 0.0), (1.0, 1.0)])
 truth = 0.5  # fraction of the 8 midpoints with f >= 1/2
@@ -17,7 +17,7 @@ truth = 0.5  # fraction of the 8 midpoints with f >= 1/2
 print(" t   qubits   queries   local error      cluster mass near 1/2")
 for t in (4, 5, 6):
     alg = build_ae_mean(3, t, ramp, 0.0, 1.0)
-    dist = measure(run(alg, ramp), alg)
+    dist = distribution(alg, ramp)
     err = local_error(dist, truth)
     cluster = best_cluster(dist, eps=2.0 ** -t)
     print(
@@ -27,7 +27,7 @@ print()
 
 # the heavy outcomes sit where sin^2(pi j / 2^t) = 1/2: j = 2^t/4 and 3*2^t/4
 alg = build_ae_mean(3, 4, ramp, 0.0, 1.0)
-dist = measure(run(alg, ramp), alg)
+dist = distribution(alg, ramp)
 print("outcomes with mass > 0.01 at t=4:")
 for j, p, phi in dist.entries:
     if p > 0.01:

@@ -7,8 +7,9 @@ The package is organized bottom-up:
 * :mod:`qibc.information` — envelopes, the radius of information, optimal
   designs, ``m(eps)``, classical query complexity;
 * :mod:`qibc.adversary` — fooling pairs and quadrature foiling;
-* :mod:`qibc.simulator` — dense state-vector simulation of unitary layers
-  interleaved with bit queries, exact outcome distributions;
+* :mod:`qibc.simulator` — simulation of unitary layers interleaved with bit
+  queries, on one basis label for permutation-plus-phase circuits and on a
+  dense state vector otherwise; exact outcome distributions;
 * :mod:`qibc.circuits` — built-in algorithms (reversible midpoint rule,
   amplitude estimation) and the bundled bound fixture;
 * :mod:`qibc.bounds` — local/worst error functionals, outcome extraction,
@@ -68,6 +69,7 @@ from .simulator import (
     apply_gate,
     beta_code,
     bit_query,
+    distribution,
     distribution_from_csv,
     distribution_to_csv,
     measure,
@@ -157,6 +159,7 @@ __all__ = [
     "query_table",
     "run",
     "measure",
+    "distribution",
     "algorithm_to_json",
     "algorithm_from_json",
     "distribution_to_csv",

@@ -35,7 +35,7 @@ import numpy as np
 from .exceptions import CapacityError, PremiseViolationError, ValidationError
 from .functions import FunctionSpec, exact_integral
 from .information import m_eps, query_complexity
-from .simulator import AlgorithmSpec, OutcomeDistribution, measure, run
+from .simulator import AlgorithmSpec, OutcomeDistribution, distribution
 
 __all__ = [
     "MASS_THRESHOLD",
@@ -156,7 +156,7 @@ def worst_prob_error(
         )
     worst = 0.0
     for f, truth in zip(family, truths):
-        err = local_error(measure(run(a, f), a), truth)
+        err = local_error(distribution(a, f), truth)
         worst = max(worst, err)
     return worst
 

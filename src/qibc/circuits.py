@@ -49,8 +49,7 @@ from .simulator import (
     OutcomeDistribution,
     QuerySpec,
     Sin2Decode,
-    measure,
-    run,
+    distribution,
 )
 
 __all__ = [
@@ -154,7 +153,7 @@ def midpoint_algorithm(
     """The composite-midpoint circuit itself, without simulating it.
 
     Construction is cheap for any register sizes; only *running* a circuit is
-    subject to the dense-vector qubit cap.
+    subject to the qubit cap.
     """
     query = QuerySpec(
         m_prime=m_prime,
@@ -209,7 +208,7 @@ def build_reversible_midpoint(
         raise CapacityError(
             f"midpoint circuit needs nu=2*(m'+m'')={alg.nu} qubits, cap is {MAX_QUBITS}"
         )
-    dist = measure(run(alg, f), alg)
+    dist = distribution(alg, f)
     return alg, dist
 
 

@@ -50,10 +50,9 @@ from .information import (
 from .serialize import dumps_json, format_float, render_csv
 from .simulator import (
     algorithm_from_json,
+    distribution,
     distribution_from_csv,
     distribution_to_csv,
-    measure,
-    run,
 )
 
 __all__ = ["SCHEMA_VERSION", "RunConfig", "dispatch", "complexity_table_rows", "main", "entrypoint"]
@@ -227,7 +226,7 @@ def _cmd_foil(cfg: RunConfig) -> None:
 def _cmd_simulate(cfg: RunConfig) -> None:
     alg = algorithm_from_json(_load_json(cfg.params["alg"]))
     f = function_from_json(_load_json(cfg.params["f"]))
-    dist = measure(run(alg, f), alg)
+    dist = distribution(alg, f)
     summary = (
         f"simulate: nu={alg.nu} queries={alg.num_queries} outcomes={alg.outcome_count}"
     )

@@ -1,4 +1,4 @@
-"""Dense state-vector simulator of the unitary-with-queries model.
+"""Exact simulator of the unitary-with-queries model, dense or on one basis label.
 
 An algorithm is a sequence ``U_T Q_f U_{T-1} Q_f ... U_1 Q_f U_0`` applied to
 ``|0...0>`` on ``nu`` qubits: ``T + 1`` unitary layers (each a list of gates,
@@ -38,6 +38,17 @@ views. ``run`` owns one buffer and each kernel writes into it in place;
 ``apply_gate`` and ``bit_query`` copy once and call the same kernels, so
 states stay immutable at the API. A dense vector of ``2^nu`` amplitudes caps
 ``nu`` at 20 (1M amplitudes, 16 MiB).
+
+``distribution(a, f)`` is the entry point from an algorithm to its outcome
+distribution, and it takes one of two paths. When every gate is X, ``mcx``,
+swap, phase or cphase (every midpoint circuit and bound fixture), the circuit
+is a classical reversible computation: ``|0...0>`` stays one basis state times
+a phase. A phase never changes an outcome probability, so the state is one
+int label: X, ``mcx`` and swap flip its bits, phase and cphase leave it alone,
+and a query XORs ``beta(f(tau(j)))`` into the value bits. Any other circuit
+runs on the dense vector, ``measure(run(a, f), a)``, which is also the oracle
+the label path is tested against. Both paths keep the 20-qubit cap and raise
+the same errors.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ __all__ = [
     "query_table",
     "run",
     "measure",
+    "distribution",
     "algorithm_to_json",
     "algorithm_from_json",
     "gate_to_json",
@@ -91,6 +103,8 @@ NORM_TOL = 1e-12
 _UNITARY_TOL = 1e-10
 
 _GATE_KINDS = ("X", "mcx", "H", "phase", "cphase", "swap", "unitary")
+#: Gate kinds that map a basis state to one basis state times a phase.
+_LABEL_KINDS = frozenset(("X", "mcx", "swap", "phase", "cphase"))
 _TAU_RULES = ("midpoint", "left-endpoint")
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -100,19 +114,34 @@ _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt
 # state
 
 
+def _check_width(nu: Any) -> None:
+    if not isinstance(nu, int) or nu < 1:
+        raise ValidationError(f"qubit count must be a positive int, got {nu!r}")
+    if nu > MAX_QUBITS:
+        raise CapacityError(f"nu={nu} exceeds the {MAX_QUBITS}-qubit cap")
+
+
 @dataclass(frozen=True)
 class QState:
-    """A unit vector of ``2^nu`` complex amplitudes."""
+    """A unit vector of ``2^nu`` complex amplitudes (a read-only copy of the input)."""
 
     nu: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nu, int) or self.nu < 1:
-            raise ValidationError(f"qubit count must be a positive int, got {self.nu!r}")
-        if self.nu > MAX_QUBITS:
-            raise CapacityError(f"nu={self.nu} exceeds the {MAX_QUBITS}-qubit cap")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        _check_width(self.nu)
+        self._seal(np.array(self.amplitudes, dtype=np.complex128))
+
+    @classmethod
+    def _owning(cls, nu: int, amps: np.ndarray) -> QState:
+        """A state over ``amps``, a fresh complex128 buffer no one else holds; not copied."""
+        _check_width(nu)
+        s = object.__new__(cls)
+        object.__setattr__(s, "nu", nu)
+        s._seal(amps)
+        return s
+
+    def _seal(self, amps: np.ndarray) -> None:
         if amps.shape != (1 << self.nu,):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected ({1 << self.nu},)"
@@ -120,20 +149,16 @@ class QState:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
 
 def zero_state(nu: int) -> QState:
     """The all-zeros computational basis state on ``nu`` qubits."""
-    if not isinstance(nu, int) or nu < 1:
-        raise ValidationError(f"qubit count must be a positive int, got {nu!r}")
-    if nu > MAX_QUBITS:
-        raise CapacityError(f"nu={nu} exceeds the {MAX_QUBITS}-qubit cap")
+    _check_width(nu)
     amps = np.zeros(1 << nu, dtype=np.complex128)
     amps[0] = 1.0
-    return QState(nu=nu, amplitudes=amps)
+    return QState._owning(nu, amps)
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +287,7 @@ def apply_gate(s: QState, g: GateOp) -> QState:
     """Apply one gate, returning a fresh unit-norm state."""
     arr = s.amplitudes.copy()
     _apply(arr.reshape((2,) * s.nu), g)
-    return QState(nu=s.nu, amplitudes=arr)
+    return QState._owning(s.nu, arr)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +375,7 @@ def bit_query(s: QState, f: FunctionSpec, q: QuerySpec) -> QState:
         )
     arr = s.amplitudes.copy()
     _query(arr, [c for _, c in query_table(f, q)], q)
-    return QState(nu=s.nu, amplitudes=arr)
+    return QState._owning(s.nu, arr)
 
 
 # --------------------------------------------------------------------------
@@ -455,25 +480,34 @@ class AlgorithmSpec:
         return self.decode.phi(j, self.outcome_count)
 
 
-def run(a: AlgorithmSpec, f: FunctionSpec | None = None, cap: int = MAX_QUBITS) -> QState:
-    """Execute ``U_T Q_f ... Q_f U_0 |0...0>`` and return the final state."""
+def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None, cap: int) -> list[int]:
+    """Check that ``a`` can run under ``cap``; the value code of each grid index."""
     if a.nu > cap:
         raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {cap}")
-    if a.num_queries > 0 and f is None:
+    if a.num_queries == 0:
+        return []
+    if f is None:
         raise ValidationError(f"algorithm makes {a.num_queries} queries; a function is required")
+    assert a.query is not None
+    return [c for _, c in query_table(f, a.query)]
+
+
+def run(a: AlgorithmSpec, f: FunctionSpec | None = None, cap: int = MAX_QUBITS) -> QState:
+    """Execute ``U_T Q_f ... Q_f U_0 |0...0>`` and return the final dense state.
+
+    :func:`distribution` is the usual entry point; ``run`` is for callers
+    that need the amplitudes themselves.
+    """
+    codes = _query_codes(a, f, cap)
     arr = np.zeros(1 << a.nu, dtype=np.complex128)
     arr[0] = 1.0
     psi = arr.reshape((2,) * a.nu)
-    codes = []
-    if a.num_queries > 0:
-        assert a.query is not None and f is not None
-        codes = [c for _, c in query_table(f, a.query)]
     for i, layer in enumerate(a.layers):
         for g in layer:
             _apply(psi, g)
         if i < a.num_queries:
             _query(psi, codes, a.query)  # type: ignore[arg-type]
-    return QState(nu=a.nu, amplitudes=arr)
+    return QState._owning(a.nu, arr)
 
 
 @dataclass(frozen=True)
@@ -507,7 +541,11 @@ class OutcomeDistribution:
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
-    """Exact distribution of the measured register, all ``M`` outcomes listed."""
+    """Exact distribution of the measured register, all ``M`` outcomes listed.
+
+    :func:`distribution` is the usual entry point; it calls ``measure(run(a, f), a)``
+    for circuits it cannot track as one basis label.
+    """
     if s.nu != a.nu:
         raise ValidationError(f"state has {s.nu} qubits, algorithm expects {a.nu}")
     p = (np.abs(s.amplitudes) ** 2).reshape((2,) * s.nu)
@@ -518,6 +556,41 @@ def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
         (int(k), float(p[k]), a.decode_outcome(int(k))) for k in range(a.outcome_count)
     )
     return OutcomeDistribution(entries=entries)
+
+
+def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDistribution:
+    """The exact outcome distribution of ``a`` run on ``f``.
+
+    A circuit whose gates are all X, ``mcx``, swap, phase or cphase maps
+    ``|0...0>`` to one basis state times a phase, so it is tracked as an int
+    label (qubit 0 the MSB) and its one outcome gets probability 1; any other
+    circuit runs dense, ``measure(run(a, f), a)``. Both paths raise the same
+    errors.
+    """
+    if any(g.gate not in _LABEL_KINDS for layer in a.layers for g in layer):
+        return measure(run(a, f), a)
+    codes = _query_codes(a, f, MAX_QUBITS)
+    nu, q = a.nu, a.query
+    label = 0
+    for i, layer in enumerate(a.layers):
+        for g in layer:  # phase and cphase only multiply the amplitude: no-ops here
+            bits = [1 << (nu - 1 - t) for t in g.targets]
+            if g.gate == "swap":
+                if bool(label & bits[0]) != bool(label & bits[1]):
+                    label ^= bits[0] | bits[1]
+            elif g.gate in ("X", "mcx"):  # flip the last target where the others read 1
+                if all(label & b for b in bits[:-1]):
+                    label ^= bits[-1]
+        if i < a.num_queries:  # index j is the top m' bits; XOR its code into the next m''
+            assert q is not None
+            j = label >> (nu - q.m_prime)
+            label ^= codes[j] << (nu - q.m_prime - q.m_double_prime)
+    hit = 0
+    for t in a.measure:
+        hit = (hit << 1) | (label >> (nu - 1 - t) & 1)
+    return OutcomeDistribution(entries=tuple(
+        (k, 1.0 if k == hit else 0.0, a.decode_outcome(k)) for k in range(a.outcome_count)
+    ))
 
 
 # --------------------------------------------------------------------------

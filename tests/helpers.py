@@ -176,9 +176,16 @@ def random_unitary(rng: np.random.Generator, k: int) -> tuple[tuple[complex, ...
     return tuple(tuple(complex(v) for v in row) for row in u)
 
 
-def random_gate(rng: np.random.Generator, nu: int) -> GateOp:
-    """One random gate of any supported kind on a ``nu``-qubit register."""
-    kind = rng.choice(["X", "mcx", "H", "phase", "cphase", "swap", "unitary"])
+ALL_GATE_KINDS = ("X", "mcx", "H", "phase", "cphase", "swap", "unitary")
+#: The kinds that map a basis state to one basis state times a phase.
+LABEL_GATE_KINDS = ("X", "mcx", "phase", "cphase", "swap")
+
+
+def random_gate(
+    rng: np.random.Generator, nu: int, kinds: tuple[str, ...] = ALL_GATE_KINDS
+) -> GateOp:
+    """One random gate, of a kind drawn uniformly from ``kinds``, on a ``nu``-qubit register."""
+    kind = rng.choice(list(kinds))
     if kind in ("X", "H"):
         return GateOp(kind, (int(rng.integers(nu)),))
     if kind == "phase":

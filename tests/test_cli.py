@@ -9,13 +9,20 @@ import sys
 import pytest
 
 from qibc import (
+    AffineDecode,
+    AlgorithmSpec,
+    GateOp,
+    QuerySpec,
     algorithm_to_json,
     build_bound_fixture,
     build_reversible_midpoint,
     constant,
+    distribution_to_csv,
     function_to_json,
+    measure,
     midpoint_algorithm,
     pwl,
+    run,
 )
 from qibc.cli import main
 from qibc.serialize import dump_json_file
@@ -171,6 +178,25 @@ class TestSimulate:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "j,p,phi"
         assert len(lines) == 33
+
+    @pytest.mark.parametrize("kind", ["midpoint", "hadamard"])
+    def test_csv_bytes_equal_dense_path(self, capsys, tmp_path, kind):
+        if kind == "midpoint":
+            alg = midpoint_algorithm(2, 3, -1.0, 1.0)
+        else:
+            alg = AlgorithmSpec(
+                3, QuerySpec(1, 2, -1.0, 1.0), ((GateOp("H", (0,)),), (GateOp("H", (2,)),)),
+                (0, 1, 2), AffineDecode(0.25, -1.0),
+            )
+        f = pwl(((0.0, -0.9), (0.5, 0.4), (1.0, 0.1)))
+        alg_path, f_path, out_path = tmp_path / "alg.json", tmp_path / "f.json", tmp_path / "d.csv"
+        dump_json_file(str(alg_path), algorithm_to_json(alg))
+        dump_json_file(str(f_path), function_to_json(f))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--alg", str(alg_path), "--f", str(f_path), "--out", str(out_path)
+        )
+        assert code == 0
+        assert out_path.read_bytes() == distribution_to_csv(measure(run(alg, f), alg)).encode()
 
     def test_capacity_exit_4(self, capsys, tmp_path, midpoint_files):
         _, f_path, _ = midpoint_files

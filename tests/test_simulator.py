@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import qibc.simulator
 from qibc import (
     AffineDecode,
     AlgorithmSpec,
@@ -25,7 +26,10 @@ from qibc import (
     apply_gate,
     beta_code,
     bit_query,
+    build_bound_fixture,
+    build_reversible_midpoint,
     constant,
+    distribution,
     distribution_from_csv,
     distribution_to_csv,
     measure,
@@ -37,7 +41,7 @@ from qibc import (
     tau_point,
     zero_state,
 )
-from helpers import random_gate, random_unitary
+from helpers import LABEL_GATE_KINDS, random_gate, random_lipschitz_pwl, random_unitary
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
 Q11 = QuerySpec(1, 1, 0.0, 1.0, "midpoint")
@@ -377,6 +381,147 @@ class TestRun:
     def test_num_queries_counts_layer_gaps(self):
         a = AlgorithmSpec(2, Q11, ((), (), ()), (0,), AffineDecode(1.0, 0.0))
         assert a.num_queries == 2
+
+
+class TestQStateBuffers:
+    def test_caller_array_is_copied(self):
+        arr = np.array([0.0, 1.0], dtype=np.complex128)
+        s = QState(1, arr)
+        arr[:] = [1.0, 0.0]
+        assert list(amps(s)) == [0.0, 1.0]
+        assert not s.amplitudes.flags.writeable
+
+    def test_results_are_read_only(self):
+        a = AlgorithmSpec(2, Q11, ((GateOp("H", (0,)),), ()), (0, 1), AffineDecode(1.0, 0.0))
+        for s in (zero_state(2), apply_gate(zero_state(2), GateOp("X", (1,))),
+                  bit_query(zero_state(2), RAMP, Q11), run(a, RAMP)):
+            assert not s.amplitudes.flags.writeable
+
+    def test_owned_buffer_is_checked_not_copied(self):
+        arr = np.array([0.0, 1.0], dtype=np.complex128)
+        assert QState._owning(1, arr).amplitudes is arr
+        with pytest.raises(ValidationError):
+            QState._owning(1, np.array([1.0, 1.0], dtype=np.complex128))
+        with pytest.raises(ValidationError):
+            QState._owning(2, np.array([0.0, 1.0], dtype=np.complex128))
+        with pytest.raises(CapacityError):
+            QState._owning(21, np.array([0.0, 1.0], dtype=np.complex128))
+
+
+def _dense(a: AlgorithmSpec, f=None) -> OutcomeDistribution:
+    return measure(run(a, f), a)
+
+
+def _random_label_circuit(rng: np.random.Generator) -> AlgorithmSpec:
+    """A permutation-plus-phase circuit with 0-3 queries and a random measure list."""
+    nu = int(rng.integers(3, 9))
+    m1 = int(rng.integers(1, nu))
+    m2 = int(rng.integers(1, nu - m1 + 1))
+    T = int(rng.integers(0, 4))
+    q = QuerySpec(m1, m2, -1.0, 1.0, str(rng.choice(["midpoint", "left-endpoint"])))
+    layers = tuple(
+        tuple(random_gate(rng, nu, LABEL_GATE_KINDS) for _ in range(int(rng.integers(0, 13))))
+        for _ in range(T + 1)
+    )
+    meas = tuple(int(t) for t in rng.permutation(nu)[: int(rng.integers(1, min(nu, 6) + 1))])
+    return AlgorithmSpec(nu, q if T or rng.random() < 0.5 else None, layers, meas,
+                         AffineDecode(0.25, -1.0))
+
+
+class TestLabelPath:
+    """``distribution`` against the dense path, ``measure(run(a, f), a)``, as the oracle."""
+
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 40, 1 / 400, 1e-3])
+    def test_bound_fixtures_equal_dense(self, eps):
+        fx = build_bound_fixture(eps)
+        for f in fx.family:
+            assert distribution(fx.algorithm, f) == _dense(fx.algorithm, f)
+
+    @pytest.mark.parametrize("m1, m2", [(1, 2), (2, 3), (3, 3), (2, 8)])
+    def test_midpoint_circuits_equal_dense(self, m1, m2):
+        a = midpoint_algorithm(m1, m2, -1.0, 1.0)
+        rng = np.random.default_rng(100 + 10 * m1 + m2)
+        for f in (RAMP, random_lipschitz_pwl(rng, 1.0), random_lipschitz_pwl(rng, 2.0)):
+            assert distribution(a, f) == _dense(a, f)
+
+    def test_random_circuits_match_dense(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            a = _random_label_circuit(rng)
+            f = random_lipschitz_pwl(rng, 1.0, k=4)
+            got, want = distribution(a, f), _dense(a, f)
+            assert [(j, phi) for j, _, phi in got.entries] == [
+                (j, phi) for j, _, phi in want.entries]
+            assert max(abs(g[1] - w[1]) for g, w in zip(got.entries, want.entries)) <= 1e-12
+
+    def test_phases_and_swap_follow_the_label(self):
+        # X sets qubit 0, swap moves it to 2, cphase fires on (0, 2) only after the X on 0
+        layer = (
+            GateOp("X", (0,)), GateOp("phase", (1,), theta=1.0), GateOp("swap", (0, 2)),
+            GateOp("X", (0,)), GateOp("cphase", (0, 2), theta=0.5), GateOp("mcx", (0, 2, 1)),
+        )
+        a = AlgorithmSpec(3, None, (layer,), (1, 0), AffineDecode(1.0, 0.0))
+        got = [p for _, p, _ in distribution(a).entries]
+        assert got == [0.0, 0.0, 0.0, 1.0]
+        assert got == pytest.approx([p for _, p, _ in _dense(a).entries], abs=1e-12)
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("the label path ran the dense simulator")
+
+
+class TestDistributionDispatch:
+    def test_label_circuit_skips_dense(self, monkeypatch):
+        a = midpoint_algorithm(2, 3, -1.0, 1.0)
+        want = _dense(a, RAMP)
+        monkeypatch.setattr(qibc.simulator, "run", _no_dense)
+        assert distribution(a, RAMP) == want
+
+    @pytest.mark.parametrize("g", [
+        GateOp("H", (0,)),
+        GateOp("unitary", (0,), matrix=((0.6, 0.8), (0.8, -0.6))),
+    ], ids=lambda g: g.gate)
+    def test_other_gates_run_dense(self, monkeypatch, g):
+        a = AlgorithmSpec(1, None, ((g,),), (0,), AffineDecode(1.0, 0.0))
+        want = _dense(a)
+        calls = []
+
+        def counting_run(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(qibc.simulator, "run", counting_run)
+        assert distribution(a) == want
+        assert len(calls) == 1
+
+    def test_hadamard_gives_halves(self):
+        a = AlgorithmSpec(1, None, ((GateOp("H", (0,)),),), (0,), AffineDecode(1.0, 0.0))
+        assert [p for _, p, _ in distribution(a).entries] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_dense_query_circuit_equals_dense(self):
+        a = AlgorithmSpec(
+            3, QuerySpec(1, 2, 0.0, 1.0), ((GateOp("H", (0,)),), (GateOp("H", (2,)),)),
+            (0, 1, 2), AffineDecode(1.0, 0.0),
+        )
+        assert distribution(a, RAMP) == _dense(a, RAMP)
+
+    def test_capacity_on_both_paths(self):
+        big = midpoint_algorithm(10, 1, 0.0, 1.0)
+        assert big.nu == 22
+        with pytest.raises(CapacityError):
+            distribution(big, RAMP)
+        with pytest.raises(CapacityError):
+            build_reversible_midpoint(10, 1, RAMP, 0.0, 1.0)
+        dense = AlgorithmSpec(21, None, ((GateOp("H", (0,)),),), (0,), AffineDecode(1.0, 0.0))
+        with pytest.raises(CapacityError):
+            distribution(dense)
+
+    def test_queries_need_a_function_on_both_paths(self):
+        label = midpoint_algorithm(1, 2, 0.0, 1.0)
+        dense = AlgorithmSpec(2, Q11, ((GateOp("H", (0,)),), ()), (0, 1), AffineDecode(1.0, 0.0))
+        for a in (label, dense):
+            with pytest.raises(ValidationError):
+                distribution(a)
 
 
 class TestMeasure:
