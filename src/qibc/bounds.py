@@ -27,7 +27,7 @@ accuracy premise, the bound itself, and the factor-2 accounting
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -299,19 +299,5 @@ def verify_bound(
 
 
 def report_to_json(r: BoundReport) -> dict[str, Any]:
-    """JSON mirror of a bound report (fixed key order)."""
-    return {
-        "nu": r.nu,
-        "n_eps": r.n_eps,
-        "classical_evals": r.classical_evals,
-        "rhs": r.rhs,
-        "satisfied": r.satisfied,
-        "status": r.status,
-        "achieved_error": r.achieved_error,
-        "eps": r.eps,
-        "L": r.L,
-        "c": r.c,
-        "evals_available": r.evals_available,
-        "evals_needed": r.evals_needed,
-        "evals_ok": r.evals_ok,
-    }
+    """JSON mirror of a bound report (keys in field order)."""
+    return asdict(r)

@@ -204,12 +204,7 @@ def build_reversible_midpoint(
     the mean of the per-point decoded codes.
     """
     alg = midpoint_algorithm(m_prime, m_double_prime, range_lo, range_hi, tau_rule)
-    if alg.nu > MAX_QUBITS:
-        raise CapacityError(
-            f"midpoint circuit needs nu=2*(m'+m'')={alg.nu} qubits, cap is {MAX_QUBITS}"
-        )
-    dist = distribution(alg, f)
-    return alg, dist
+    return alg, distribution(alg, f)
 
 
 def build_ae_mean(

@@ -19,8 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .adversary import Quadrature, foil, fooling_pair
 from .bounds import (
@@ -55,41 +54,11 @@ from .simulator import (
     distribution_to_csv,
 )
 
-__all__ = ["SCHEMA_VERSION", "RunConfig", "dispatch", "complexity_table_rows", "main", "entrypoint"]
+__all__ = ["SCHEMA_VERSION", "complexity_table_rows", "main", "entrypoint"]
 
 #: Version of the JSON/CSV artifact schemas. Schema 2 adds the ``mcx`` gate
 #: kind to algorithm JSON; schema-1 documents still load unchanged.
 SCHEMA_VERSION = "2"
-
-_COMMANDS = (
-    "radius",
-    "design",
-    "meps",
-    "complexity-table",
-    "fooling-pair",
-    "foil",
-    "simulate",
-    "error",
-    "extract",
-    "verify-bound",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully-determined run: command, parameters, output path, format."""
-
-    command: str
-    params: dict[str, Any] = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "plain"
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.fmt not in ("plain", "json", "csv"):
-            raise ValidationError(f"unknown format {self.fmt!r}")
-
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     items = [s.strip() for s in text.split(",") if s.strip() != ""]
@@ -138,15 +107,11 @@ def _load_family(path: str) -> list:
 # command handlers
 
 
-def _cmd_radius(cfg: RunConfig) -> None:
-    d = Design(cfg.params["design"])
-    L = cfg.params["L"]
-    y = cfg.params.get("y")
-    if y is None:
-        report = interval_H(envelopes(d, DataVector((0.0,) * d.n), L))
-    else:
-        report = interval_H(envelopes(d, DataVector(y), L))
-    if cfg.fmt == "json":
+def _cmd_radius(ns: argparse.Namespace) -> None:
+    points = _parse_floats(ns.design, "--design")
+    y = (0.0,) * len(points) if ns.y is None else _parse_floats(ns.y, "--y")
+    report = interval_H(envelopes(Design(points), DataVector(y), ns.L))
+    if ns.format == "json":
         doc = {
             "h_lo": report.h_lo,
             "h_hi": report.h_hi,
@@ -158,13 +123,13 @@ def _cmd_radius(cfg: RunConfig) -> None:
         print(format_float(report.radius))
 
 
-def _cmd_design(cfg: RunConfig) -> None:
-    d = optimal_design(cfg.params["n"])
-    _emit(dumps_json(list(d.points)), cfg.out, f"design: n={d.n}")
+def _cmd_design(ns: argparse.Namespace) -> None:
+    d = optimal_design(ns.n)
+    _emit(dumps_json(list(d.points)), ns.out, f"design: n={d.n}")
 
 
-def _cmd_meps(cfg: RunConfig) -> None:
-    print(m_eps(cfg.params["L"], cfg.params["eps"]))
+def _cmd_meps(ns: argparse.Namespace) -> None:
+    print(m_eps(ns.L, ns.eps))
 
 
 def complexity_table_rows(
@@ -189,110 +154,77 @@ def complexity_table_rows(
     return rows
 
 
-def _cmd_complexity_table(cfg: RunConfig) -> None:
-    rows = complexity_table_rows(cfg.params["L"], cfg.params["eps"], cfg.params["c"])
+def _cmd_complexity_table(ns: argparse.Namespace) -> None:
+    rows = complexity_table_rows(
+        _parse_floats(ns.L, "--L"), _parse_floats(ns.eps, "--eps"), ns.c
+    )
     text = render_csv(["L", "eps", "m", "comp", "m3", "qubit_bound"], rows)
-    _emit(text, cfg.out, f"complexity-table: {len(rows)} rows")
+    _emit(text, ns.out, f"complexity-table: {len(rows)} rows")
 
 
-def _cmd_fooling_pair(cfg: RunConfig) -> None:
-    d = Design(cfg.params["design"])
-    pair = fooling_pair(d, cfg.params["L"])
+def _cmd_fooling_pair(ns: argparse.Namespace) -> None:
+    d = Design(_parse_floats(ns.design, "--design"))
+    pair = fooling_pair(d, ns.L)
     doc = {
         "f_plus": function_to_json(pair.f_plus),
         "f_minus": function_to_json(pair.f_minus),
         "gap": pair.gap,
     }
-    _emit(dumps_json(doc), cfg.out, f"fooling-pair: n={d.n} gap={format_float(pair.gap)}")
+    _emit(dumps_json(doc), ns.out, f"fooling-pair: n={d.n} gap={format_float(pair.gap)}")
 
 
-def _cmd_foil(cfg: RunConfig) -> None:
-    node = _load_json(cfg.params["quadrature"])
+def _cmd_foil(ns: argparse.Namespace) -> None:
+    node = _load_json(ns.quadrature)
     if not isinstance(node, dict) or set(node) != {"design", "weights"}:
         raise ValidationError(
-            f"quadrature file must hold an object with keys design, weights: {cfg.params['quadrature']}"
+            f"quadrature file must hold an object with keys design, weights: {ns.quadrature}"
         )
     try:
         design = tuple(float(t) for t in node["design"])
         weights = tuple(float(w) for w in node["weights"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"quadrature design and weights must be lists of numbers: {cfg.params['quadrature']}"
+            f"quadrature design and weights must be lists of numbers: {ns.quadrature}"
         ) from exc
     q = Quadrature(design=Design(design), weights=weights)
-    print(format_float(foil(q, cfg.params["L"])))
+    print(format_float(foil(q, ns.L)))
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    alg = algorithm_from_json(_load_json(cfg.params["alg"]))
-    f = function_from_json(_load_json(cfg.params["f"]))
+def _cmd_simulate(ns: argparse.Namespace) -> None:
+    alg = algorithm_from_json(_load_json(ns.alg))
+    f = function_from_json(_load_json(ns.f))
     dist = distribution(alg, f)
     summary = (
         f"simulate: nu={alg.nu} queries={alg.num_queries} outcomes={alg.outcome_count}"
     )
-    _emit(distribution_to_csv(dist), cfg.out, summary)
+    _emit(distribution_to_csv(dist), ns.out, summary)
 
 
-def _cmd_error(cfg: RunConfig) -> None:
-    dist = distribution_from_csv(cfg.params["dist"])
-    fn = local_error_setform if cfg.params["brute_force"] else local_error
-    print(format_float(fn(dist, cfg.params["truth"])))
+def _cmd_error(ns: argparse.Namespace) -> None:
+    dist = distribution_from_csv(ns.dist)
+    fn = local_error_setform if ns.brute_force else local_error
+    print(format_float(fn(dist, ns.truth)))
 
 
-def _cmd_extract(cfg: RunConfig) -> None:
-    dist = distribution_from_csv(cfg.params["dist"])
-    print(format_float(extract(dist, cfg.params["eps"])))
+def _cmd_extract(ns: argparse.Namespace) -> None:
+    dist = distribution_from_csv(ns.dist)
+    print(format_float(extract(dist, ns.eps)))
 
 
-def _cmd_verify_bound(cfg: RunConfig) -> None:
-    alg = algorithm_from_json(_load_json(cfg.params["alg"]))
-    family = _load_family(cfg.params["family"])
-    report = verify_bound(
-        alg, family, L=cfg.params["L"], eps=cfg.params["eps"], c=cfg.params["c"]
-    )
+def _cmd_verify_bound(ns: argparse.Namespace) -> None:
+    alg = algorithm_from_json(_load_json(ns.alg))
+    family = _load_family(ns.family)
+    report = verify_bound(alg, family, L=ns.L, eps=ns.eps, c=ns.c)
     summary = (
         f"verify-bound: status={report.status}"
         f" satisfied={'true' if report.satisfied else 'false'}"
         f" nu={report.nu} rhs={format_float(report.rhs)}"
     )
-    _emit(dumps_json(report_to_json(report)), cfg.out, summary)
+    _emit(dumps_json(report_to_json(report)), ns.out, summary)
     if report.status != "ok":
         raise PremiseViolationError(
             f"worst probabilistic error {report.achieved_error} exceeds eps={report.eps}"
         )
-
-
-_HANDLERS: dict[str, Callable[[RunConfig], None]] = {
-    "radius": _cmd_radius,
-    "design": _cmd_design,
-    "meps": _cmd_meps,
-    "complexity-table": _cmd_complexity_table,
-    "fooling-pair": _cmd_fooling_pair,
-    "foil": _cmd_foil,
-    "simulate": _cmd_simulate,
-    "error": _cmd_error,
-    "extract": _cmd_extract,
-    "verify-bound": _cmd_verify_bound,
-}
-
-
-def dispatch(cfg: RunConfig) -> int:
-    """Run one configured command; map errors to the exit-code taxonomy."""
-    try:
-        _HANDLERS[cfg.command](cfg)
-        return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PremiseViolationError as exc:
-        print(f"premise violation: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        return 4
-    except QibcError as exc:  # defensive: any future category -> validation
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,40 +245,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="radius of information for a design")
+    p.set_defaults(handler=_cmd_radius)
     p.add_argument("--design", required=True, help="comma-separated points in [0,1]")
     p.add_argument("--L", type=float, required=True, help="Lipschitz bound")
     p.add_argument("--y", default=None, help="observed data (default: worst case, all zeros)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("design", help="radius-optimal midpoint design")
+    p.set_defaults(handler=_cmd_design)
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--out", default=None, help="write JSON array here")
 
     p = sub.add_parser("meps", help="minimal evaluations m(eps) for accuracy eps")
+    p.set_defaults(handler=_cmd_meps)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
 
     p = sub.add_parser("complexity-table", help="CSV of m(eps), comp, and qubit bounds")
+    p.set_defaults(handler=_cmd_complexity_table)
     p.add_argument("--L", required=True, help="comma-separated Lipschitz bounds")
     p.add_argument("--eps", required=True, help="comma-separated accuracies")
     p.add_argument("--c", type=float, default=1.0, help="per-query cost (default 1)")
     p.add_argument("--out", default=None, help="write CSV here")
 
     p = sub.add_parser("fooling-pair", help="adversary pair vanishing on a design")
+    p.set_defaults(handler=_cmd_fooling_pair)
     p.add_argument("--design", required=True, help="comma-separated points in [0,1]")
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--out", default=None, help="write pair JSON here")
 
     p = sub.add_parser("foil", help="certified error lower bound for a quadrature")
+    p.set_defaults(handler=_cmd_foil)
     p.add_argument("--quadrature", required=True, help="JSON file with design and weights")
     p.add_argument("--L", type=float, required=True)
 
     p = sub.add_parser("simulate", help="run an algorithm on a function, emit outcomes")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--alg", required=True, help="algorithm JSON file")
     p.add_argument("--f", required=True, help="function JSON file")
     p.add_argument("--out", default=None, help="write distribution CSV here")
 
     p = sub.add_parser("error", help="local error of a distribution against a truth")
+    p.set_defaults(handler=_cmd_error)
     p.add_argument("--dist", required=True, help="distribution CSV file")
     p.add_argument("--truth", type=float, required=True)
     p.add_argument(
@@ -356,10 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("extract", help="deterministic 3-eps-accurate value from outcomes")
+    p.set_defaults(handler=_cmd_extract)
     p.add_argument("--dist", required=True, help="distribution CSV file")
     p.add_argument("--eps", type=float, required=True)
 
     p = sub.add_parser("verify-bound", help="check the qubit lower bound end to end")
+    p.set_defaults(handler=_cmd_verify_bound)
     p.add_argument("--alg", required=True, help="algorithm JSON file")
     p.add_argument("--family", required=True, help="directory of function JSON files")
     p.add_argument("--L", type=float, required=True)
@@ -370,64 +312,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    params: dict[str, Any] = {}
-    out = getattr(ns, "out", None)
-    fmt = getattr(ns, "format", None)
-    if ns.command == "radius":
-        params["design"] = _parse_floats(ns.design, "--design")
-        params["L"] = ns.L
-        params["y"] = None if ns.y is None else _parse_floats(ns.y, "--y")
-    elif ns.command == "design":
-        params["n"] = ns.n
-    elif ns.command == "meps":
-        params["L"] = ns.L
-        params["eps"] = ns.eps
-    elif ns.command == "complexity-table":
-        params["L"] = _parse_floats(ns.L, "--L")
-        params["eps"] = _parse_floats(ns.eps, "--eps")
-        params["c"] = ns.c
-    elif ns.command == "fooling-pair":
-        params["design"] = _parse_floats(ns.design, "--design")
-        params["L"] = ns.L
-    elif ns.command == "foil":
-        params["quadrature"] = ns.quadrature
-        params["L"] = ns.L
-    elif ns.command == "simulate":
-        params["alg"] = ns.alg
-        params["f"] = ns.f
-    elif ns.command == "error":
-        params["dist"] = ns.dist
-        params["truth"] = ns.truth
-        params["brute_force"] = ns.brute_force
-    elif ns.command == "extract":
-        params["dist"] = ns.dist
-        params["eps"] = ns.eps
-    elif ns.command == "verify-bound":
-        params["alg"] = ns.alg
-        params["family"] = ns.family
-        params["L"] = ns.L
-        params["eps"] = ns.eps
-        params["c"] = ns.c
-    if fmt is None:
-        fmt = "plain"
-    return RunConfig(command=ns.command, params=params, out=out, fmt=fmt)
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
+    """Parse arguments and run the command; returns the process exit code."""
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad args, 0 on --version/--help
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        cfg = _config_from_args(ns)
+        ns.handler(ns)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return dispatch(cfg)
+    except PremiseViolationError as exc:
+        print(f"premise violation: {exc}", file=sys.stderr)
+        return 3
+    except CapacityError as exc:
+        print(f"capacity exceeded: {exc}", file=sys.stderr)
+        return 4
+    except QibcError as exc:  # defensive: any future category -> validation
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

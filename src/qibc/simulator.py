@@ -93,7 +93,7 @@ __all__ = [
     "distribution_from_csv",
 ]
 
-#: Default cap on the dense register width (2^20 amplitudes).
+#: Cap on the register width of every simulated circuit (2^20 amplitudes dense).
 MAX_QUBITS = 20
 
 #: Tolerance on the squared norm of any state.
@@ -480,10 +480,10 @@ class AlgorithmSpec:
         return self.decode.phi(j, self.outcome_count)
 
 
-def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None, cap: int) -> list[int]:
-    """Check that ``a`` can run under ``cap``; the value code of each grid index."""
-    if a.nu > cap:
-        raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {cap}")
+def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None) -> list[int]:
+    """Check that ``a`` fits the qubit cap; the value code of each grid index."""
+    if a.nu > MAX_QUBITS:
+        raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {MAX_QUBITS}")
     if a.num_queries == 0:
         return []
     if f is None:
@@ -492,13 +492,14 @@ def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None, cap: int) -> list[int
     return [c for _, c in query_table(f, a.query)]
 
 
-def run(a: AlgorithmSpec, f: FunctionSpec | None = None, cap: int = MAX_QUBITS) -> QState:
+def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
     """Execute ``U_T Q_f ... Q_f U_0 |0...0>`` and return the final dense state.
 
     :func:`distribution` is the usual entry point; ``run`` is for callers
-    that need the amplitudes themselves.
+    that need the amplitudes themselves. A circuit on more than
+    ``MAX_QUBITS`` qubits raises :class:`CapacityError`.
     """
-    codes = _query_codes(a, f, cap)
+    codes = _query_codes(a, f)
     arr = np.zeros(1 << a.nu, dtype=np.complex128)
     arr[0] = 1.0
     psi = arr.reshape((2,) * a.nu)
@@ -569,7 +570,7 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
     """
     if any(g.gate not in _LABEL_KINDS for layer in a.layers for g in layer):
         return measure(run(a, f), a)
-    codes = _query_codes(a, f, MAX_QUBITS)
+    codes = _query_codes(a, f)
     nu, q = a.nu, a.query
     label = 0
     for i, layer in enumerate(a.layers):

@@ -336,6 +336,39 @@ class TestHarness:
         assert "Traceback" not in unknown.stderr
 
 
+COMMANDS = (
+    "radius", "design", "meps", "complexity-table", "fooling-pair",
+    "foil", "simulate", "error", "extract", "verify-bound",
+)
+
+
+class TestStderrPinned:
+    """Exact stderr and exit codes of argument errors, for every subcommand."""
+
+    def test_malformed_list(self, capsys):
+        code, out, err = run_cli(capsys, "radius", "--design", "0.1,abc", "--L", "1")
+        assert (code, out, err) == (2, "", "error: malformed --design: '0.1,abc'\n")
+
+    def test_empty_list(self, capsys):
+        code, out, err = run_cli(capsys, "complexity-table", "--L", ",", "--eps", "0.1")
+        assert (code, out, err) == (
+            2, "", "error: --L must be a nonempty comma-separated list\n"
+        )
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_no_arguments_exits_2_with_usage(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: qibc {cmd} ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_help_exits_0(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: qibc {cmd} ")
+
+
 class TestUnreadableInputExits2:
     """Files the CLI cannot read or parse exit 2 with an error line, not a traceback."""
 
