@@ -16,7 +16,7 @@ truth = 0.5  # fraction of the 8 midpoints with f >= 1/2
 
 print(" t   qubits   queries   local error      cluster mass near 1/2")
 for t in (4, 5, 6):
-    alg = build_ae_mean(3, t, ramp, 0.0, 1.0)
+    alg = build_ae_mean(3, t, 0.0, 1.0)
     dist = distribution(alg, ramp)
     err = local_error(dist, truth)
     cluster = best_cluster(dist, eps=2.0 ** -t)
@@ -26,7 +26,7 @@ for t in (4, 5, 6):
 print()
 
 # the heavy outcomes sit where sin^2(pi j / 2^t) = 1/2: j = 2^t/4 and 3*2^t/4
-alg = build_ae_mean(3, 4, ramp, 0.0, 1.0)
+alg = build_ae_mean(3, 4, 0.0, 1.0)
 dist = distribution(alg, ramp)
 print("outcomes with mass > 0.01 at t=4:")
 for j, p, phi in dist.entries:

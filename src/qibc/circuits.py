@@ -38,11 +38,10 @@ import math
 from dataclasses import dataclass
 
 from .adversary import fooling_pair
-from .exceptions import CapacityError, ValidationError
+from .exceptions import ValidationError
 from .functions import FunctionSpec, constant, exact_integral
 from .information import m_eps, optimal_design
 from .simulator import (
-    MAX_QUBITS,
     AffineDecode,
     AlgorithmSpec,
     GateOp,
@@ -210,7 +209,6 @@ def build_reversible_midpoint(
 def build_ae_mean(
     m_prime: int,
     t: int,
-    f: FunctionSpec,
     range_lo: float,
     range_hi: float,
     tau_rule: str = "midpoint",
@@ -219,7 +217,9 @@ def build_ae_mean(
 
     With ``a`` the fraction of the ``2^{m'}`` grid points whose value bit is
     1, outcome ``j`` concentrates near ``sin^2(pi j / 2^t) ~ a``; ``t``
-    readout qubits give phase granularity ``2^{-t}``.
+    readout qubits give phase granularity ``2^{-t}``. Like
+    :func:`midpoint_algorithm` it only builds the circuit; running it is
+    subject to the qubit cap.
     """
     if not isinstance(t, int) or t < 1:
         raise ValidationError(f"readout size t must be a positive int, got {t!r}")
@@ -230,11 +230,6 @@ def build_ae_mean(
         range_hi=range_hi,
         tau_rule=tau_rule,
     )
-    nu = m_prime + 1 + t
-    if nu > MAX_QUBITS:
-        raise CapacityError(
-            f"amplitude estimation needs nu=m'+1+t={nu} qubits, cap is {MAX_QUBITS}"
-        )
     index = tuple(range(m_prime))
     value = m_prime
     readout = tuple(range(m_prime + 1, m_prime + 1 + t))
@@ -258,7 +253,7 @@ def build_ae_mean(
             )
     b.gates(inverse_qft_gates(tuple(reversed(readout))))
     return AlgorithmSpec(
-        nu=nu,
+        nu=m_prime + 1 + t,
         query=query,
         layers=b.build(),
         measure=tuple(reversed(readout)),

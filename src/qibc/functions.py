@@ -32,6 +32,7 @@ from operator import itemgetter
 from typing import Any, Iterable
 
 from .exceptions import DomainError, ValidationError
+from .serialize import check_keys
 
 __all__ = [
     "Promise",
@@ -276,11 +277,7 @@ def promise_to_json(p: Promise) -> dict[str, Any]:
 
 
 def promise_from_json(node: Any) -> Promise:
-    if not isinstance(node, dict):
-        raise ValidationError(f"promise must be a JSON object, got {type(node).__name__}")
-    extra = set(node) - {"L", "range"}
-    if extra:
-        raise ValidationError(f"unknown promise keys: {sorted(extra)}")
+    check_keys(node, "promise", {"L", "range"})
     try:
         lo, hi = node["range"]
         return Promise(float(node["L"]), float(lo), float(hi))
@@ -303,14 +300,9 @@ def function_to_json(f: FunctionSpec) -> dict[str, Any]:
 
 
 def function_from_json(node: Any) -> FunctionSpec:
-    if not isinstance(node, dict):
-        raise ValidationError(f"function must be a JSON object, got {type(node).__name__}")
+    check_keys(node, "function", {"family", "promise", "points", "value", "coefficients"})
     family = node.get("family")
     promise = promise_from_json(node["promise"]) if "promise" in node else None
-    known = {"family", "promise", "points", "value", "coefficients"}
-    extra = set(node) - known
-    if extra:
-        raise ValidationError(f"unknown function keys: {sorted(extra)}")
     try:
         if family == "pwl":
             return pwl([(float(x), float(y)) for x, y in node["points"]], promise)

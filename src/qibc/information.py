@@ -19,7 +19,10 @@ All integration here is exact breakpoint enumeration (trapezoid on linear
 pieces), never quadrature, so radii are reference-grade. A one-ulp repair
 pass keeps envelope segments Lipschitz as *floats*: interior kink ordinates
 (never design values) are nudged by ``nextafter`` until ``|dy| <= L*dx``
-holds in float arithmetic; the effect on integrals is below 1e-18.
+holds in float arithmetic on every segment with a non-design end. A kink
+that no float ordinate can put on both of its cones is dropped, leaving the
+chord between two design points, which holds to the consistency tolerance.
+The effect on integrals is a few ulps at most.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
 #: repaired.
 CONSISTENCY_TOL = 1e-12
 
-#: Maximum one-ulp nudges applied to a single envelope breakpoint.
+#: Maximum one-ulp nudges applied to a pair of kinks straddling a peak.
 _MAX_NUDGES = 8
 _KINK_SEARCH_STEPS = 64
 
@@ -161,29 +164,59 @@ def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -
 
 def _upper_breakpoints(
     ts: tuple[float, ...], ys: tuple[float, ...], L: float
-) -> list[tuple[float, float, bool]]:
-    """Breakpoints ``(x, y, is_design)`` of min_i (y_i + L|x - t_i|).
+) -> list[tuple[float, float]]:
+    """Breakpoints ``(x, y)`` of min_i (y_i + L|x - t_i|), for ``L > 0``.
 
     With consistent data only adjacent cones bind on each gap: the candidate
     lines of equal slope are totally ordered, and consistency forces the line
-    through the nearer design point to be the lowest. Hence one kink per gap
-    at ``x* = (y_{i+1} - y_i)/(2L) + (t_i + t_{i+1})/2`` when it falls
-    strictly inside, plus boundary pieces rising from ``t_1`` back to 0 and
-    from ``t_n`` on to 1.
+    through the nearer design point to be the lowest. Hence the kinks of
+    :func:`_gap_kinks` on each gap, plus boundary pieces rising from ``t_1``
+    back to 0 and from ``t_n`` on to 1, their far ordinates pulled onto the
+    cone so that ``|dy| <= L*dx`` holds in floats.
     """
-    bps: list[tuple[float, float, bool]] = []
+    bps: list[tuple[float, float]] = []
     if ts[0] > 0.0:
-        bps.append((0.0, ys[0] + L * ts[0], False))
-    for i, (t, y) in enumerate(zip(ts, ys)):
-        bps.append((t, y, True))
-        if i + 1 < len(ts):
-            t2, y2 = ts[i + 1], ys[i + 1]
-            if L > 0.0:
-                for xk, yk in _kink(t, y, t2, y2, L):
-                    bps.append((xk, yk, False))
+        bound = L * ts[0]
+        bps.append((0.0, _pull_onto_cone(ys[0] + bound, ys[0], bound)))
+    for t, y, t2, y2 in zip(ts, ys, ts[1:], ys[1:]):
+        bps.append((t, y))
+        bps += _gap_kinks(t, y, t2, y2, L)
+    bps.append((ts[-1], ys[-1]))
     if ts[-1] < 1.0:
-        bps.append((1.0, ys[-1] + L * (1.0 - ts[-1]), False))
+        bound = L * (1.0 - ts[-1])
+        bps.append((1.0, _pull_onto_cone(ys[-1] + bound, ys[-1], bound)))
     return bps
+
+
+def _gap_kinks(
+    t: float, y: float, t2: float, y2: float, L: float
+) -> list[tuple[float, float]]:
+    """Kinks over one design gap, every segment passing ``|dy| <= L*dx`` in floats.
+
+    Walking left to right, a failing segment moves its kink end onto the cone
+    of its other end; kinks of an upper envelope are local maxima, so this
+    only moves them down. Design ordinates are never modified. Only the last
+    move can break a segment already walked: that happens when a kink sits
+    within ulps of a design point whose chord has slope within rounding of
+    ``L``, so no float ordinate lies on both cones. Then the kinks are
+    dropped and the gap is that chord, which the consistency check bounded.
+    """
+    chain = [(t, y), *_kink(t, y, t2, y2, L), (t2, y2)]
+    last = len(chain) - 1
+    for i in range(last):
+        (x0, y0), (x1, y1) = chain[i], chain[i + 1]
+        bound = L * (x1 - x0)
+        if abs(y1 - y0) <= bound:
+            continue
+        if i + 1 < last:
+            chain[i + 1] = (x1, _pull_onto_cone(y1, y0, bound))
+        elif i > 0:
+            y0 = _pull_onto_cone(y0, y1, bound)
+            xp, yp = chain[i - 1]
+            if abs(y0 - yp) > L * (x0 - xp):
+                return []
+            chain[i] = (x0, y0)
+    return chain[1:-1]
 
 
 def _kink(
@@ -254,40 +287,15 @@ def _pull_onto_cone(moving: float, anchor: float, bound: float) -> float:
 
     Jumps straight to ``anchor +/- bound`` (the abscissa rounding behind a
     kink or boundary ordinate can be worth many ulps of a small ``y``), then
-    walks out the one or two ulps of residual addition rounding.
+    walks out the residual addition rounding one ulp at a time toward
+    ``anchor``, which itself passes because ``bound >= 0``.
     """
     if abs(moving - anchor) <= bound:
         return moving
     target = anchor + bound if moving > anchor else anchor - bound
-    for _ in range(_MAX_NUDGES):
-        if abs(target - anchor) <= bound:
-            return target
+    while abs(target - anchor) > bound:
         target = math.nextafter(target, anchor)
-    return anchor  # unreachable fallback: the anchor itself always satisfies
-
-
-def _repair_slopes(
-    bps: list[tuple[float, float, bool]], L: float
-) -> list[tuple[float, float, bool]]:
-    """Adjust non-design ordinates until ``|dy| <= L*dx`` holds in floats.
-
-    Non-design breakpoints of an upper envelope are local maxima, so pulling
-    them toward the violated cone only moves them down. Design ordinates are
-    never modified.
-    """
-    out = list(bps)
-    for i in range(len(out) - 1):
-        x0, y0, d0 = out[i]
-        x1, y1, d1 = out[i + 1]
-        bound = L * (x1 - x0)
-        if abs(y1 - y0) <= bound:
-            continue
-        if not d1:
-            out[i + 1] = (x1, _pull_onto_cone(y1, y0, bound), False)
-        elif not d0:
-            out[i] = (x0, _pull_onto_cone(y0, y1, bound), False)
-        # two design endpoints: the consistency check already bounded them
-    return out
+    return target
 
 
 def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
@@ -311,11 +319,9 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
             raise InfeasibleDataError("L = 0 requires exactly constant data")
         flat = pwl([(0.0, ys[0]), (1.0, ys[0])])
         return Envelope(upper=flat, lower=flat)
-    upper_bps = _repair_slopes(_upper_breakpoints(ts, ys, L), L)
+    upper = pwl(_upper_breakpoints(ts, ys, L))
     neg_ys = tuple(-v for v in ys)
-    lower_bps = _repair_slopes(_upper_breakpoints(ts, neg_ys, L), L)
-    upper = pwl([(x, v) for x, v, _ in upper_bps])
-    lower = pwl([(x, -v) for x, v, _ in lower_bps])
+    lower = pwl([(x, -v) for x, v in _upper_breakpoints(ts, neg_ys, L)])
     return Envelope(upper=upper, lower=lower)
 
 

@@ -23,7 +23,14 @@ from typing import Any
 
 from .exceptions import ValidationError
 
-__all__ = ["format_float", "dumps_json", "dump_json_file", "read_csv"]
+__all__ = [
+    "format_float",
+    "dumps_json",
+    "dump_json_file",
+    "check_keys",
+    "render_csv",
+    "read_csv",
+]
 
 #: Maximum rendered length for a container to be kept on one line.
 _INLINE_WIDTH = 100
@@ -114,6 +121,15 @@ def dumps_json(node: Any) -> str:
 def dump_json_file(path: str, node: Any) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_json(node))
+
+
+def check_keys(node: Any, what: str, keys: set[str]) -> None:
+    """Require ``node`` to be a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(node, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(node).__name__}")
+    extra = set(node) - keys
+    if extra:
+        raise ValidationError(f"unknown {what} keys: {sorted(extra)}")
 
 
 def _format_cell(value: Any) -> str:

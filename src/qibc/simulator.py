@@ -63,7 +63,7 @@ import numpy as np
 
 from .exceptions import CapacityError, ValidationError
 from .functions import FunctionSpec, eval as feval
-from .serialize import read_csv, render_csv
+from .serialize import check_keys, read_csv, render_csv
 
 __all__ = [
     "MAX_QUBITS",
@@ -608,11 +608,7 @@ def gate_to_json(g: GateOp) -> dict[str, Any]:
 
 
 def gate_from_json(node: Any) -> GateOp:
-    if not isinstance(node, dict):
-        raise ValidationError(f"gate must be a JSON object, got {type(node).__name__}")
-    extra = set(node) - {"gate", "targets", "theta", "matrix"}
-    if extra:
-        raise ValidationError(f"unknown gate keys: {sorted(extra)}")
+    check_keys(node, "gate", {"gate", "targets", "theta", "matrix"})
     try:
         matrix = None
         if "matrix" in node:
@@ -640,11 +636,7 @@ def _query_to_json(q: QuerySpec) -> dict[str, Any]:
 
 
 def _query_from_json(node: Any) -> QuerySpec:
-    if not isinstance(node, dict):
-        raise ValidationError(f"query must be a JSON object, got {type(node).__name__}")
-    extra = set(node) - {"m_prime", "m_double_prime", "range", "tau_rule"}
-    if extra:
-        raise ValidationError(f"unknown query keys: {sorted(extra)}")
+    check_keys(node, "query", {"m_prime", "m_double_prime", "range", "tau_rule"})
     try:
         lo, hi = node["range"]
         return QuerySpec(
@@ -687,11 +679,7 @@ def algorithm_to_json(a: AlgorithmSpec) -> dict[str, Any]:
 
 
 def algorithm_from_json(node: Any) -> AlgorithmSpec:
-    if not isinstance(node, dict):
-        raise ValidationError(f"algorithm must be a JSON object, got {type(node).__name__}")
-    extra = set(node) - {"nu", "query", "layers", "measure", "decode"}
-    if extra:
-        raise ValidationError(f"unknown algorithm keys: {sorted(extra)}")
+    check_keys(node, "algorithm", {"nu", "query", "layers", "measure", "decode"})
     try:
         query = node.get("query")
         return AlgorithmSpec(

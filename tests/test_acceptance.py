@@ -218,7 +218,7 @@ def test_criterion_09_amplitude_estimation_example():
     ramp = pwl(((0.0, 0.0), (1.0, 1.0)))
     errors = []
     for t in (4, 5, 6):
-        alg = build_ae_mean(3, t, ramp, 0.0, 1.0)
+        alg = build_ae_mean(3, t, 0.0, 1.0)
         dist = measure(run(alg, ramp), alg)
         cluster = best_cluster(dist, 2.0**-t)
         assert cluster.mass >= 0.75, (t, cluster.mass)

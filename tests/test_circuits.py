@@ -19,6 +19,7 @@ from qibc import (
     beta_code,
     check_promise,
     constant,
+    distribution,
     exact_integral,
     eval as feval,
     inverse_qft_gates,
@@ -208,19 +209,19 @@ class TestMidpointCircuit:
 
 class TestAmplitudeEstimation:
     def test_no_marked_points_reads_zero(self):
-        alg = build_ae_mean(2, 3, constant(0.0), 0.0, 1.0)
+        alg = build_ae_mean(2, 3, 0.0, 1.0)
         dist = measure(run(alg, constant(0.0)), alg)
         mass_at_zero = sum(p for _, p, phi in dist.entries if phi == 0.0)
         assert mass_at_zero >= 0.75
 
     def test_all_marked_points_read_one(self):
-        alg = build_ae_mean(2, 3, constant(1.0), 0.0, 1.0)
+        alg = build_ae_mean(2, 3, 0.0, 1.0)
         dist = measure(run(alg, constant(1.0)), alg)
         mass_at_one = sum(p for _, p, phi in dist.entries if phi == 1.0)
         assert mass_at_one >= 0.75
 
     def test_half_marked_is_sharp(self):
-        alg = build_ae_mean(3, 4, RAMP, 0.0, 1.0)
+        alg = build_ae_mean(3, 4, 0.0, 1.0)
         dist = measure(run(alg, RAMP), alg)
         assert alg.num_queries == 2 * (2**4 - 1)
         assert local_error(dist, 0.5) <= 1e-12
@@ -231,9 +232,15 @@ class TestAmplitudeEstimation:
 
     def test_readout_register_grows_with_t(self):
         for t in (4, 5, 6):
-            alg = build_ae_mean(3, t, RAMP, 0.0, 1.0)
+            alg = build_ae_mean(3, t, 0.0, 1.0)
             assert alg.nu == 3 + 1 + t
             assert alg.num_queries == 2 * (2**t - 1)
+
+    def test_builds_above_cap_and_fails_when_run(self):
+        alg = build_ae_mean(15, 6, 0.0, 1.0)
+        assert alg.nu == 22
+        with pytest.raises(CapacityError):
+            distribution(alg, RAMP)
 
 
 class TestBoundFixture:

@@ -123,6 +123,18 @@ class TestEnvelopes:
         with pytest.raises(ValidationError):
             envelopes(Design((0.4, 0.6)), DataVector((0.0,)), 1.0)
 
+    def test_zero_lipschitz_constant_data_is_flat(self):
+        env = envelopes(Design((0.2, 0.7)), DataVector((0.5, 0.5)), 0.0)
+        assert env.upper.points == env.lower.points == ((0.0, 0.5), (1.0, 0.5))
+        assert interval_H(env).radius == 0.0
+
+    def test_zero_lipschitz_rejects_any_variation(self):
+        # 1e-13 passes the 1e-12 consistency tolerance; L = 0 still needs equality
+        with pytest.raises(InfeasibleDataError, match="L = 0 requires exactly constant data"):
+            envelopes(Design((0.2, 0.7)), DataVector((0.5, 0.5 + 1e-13)), 0.0)
+        with pytest.raises(InfeasibleDataError):
+            envelopes(Design((0.2, 0.7)), DataVector((0.5, 0.6)), 0.0)
+
     def test_envelope_integrals_against_riemann(self):
         rng = np.random.default_rng(11)
         d = random_design(rng, 5)
@@ -166,6 +178,67 @@ class TestConsistencyCheck:
             envelopes(Design(ts), DataVector(ys), 1.0)
 
 
+#: Two-point data on which a kink lands within ulps of ``t1`` with no float
+#: ordinate on both cones; the data meet ``|dy| <= L dt`` exactly in floats.
+NO_ORDINATE_ON_BOTH_CONES = [
+    ((0.554050247808328, 0.623927073891864), (-0.7127837582848302, -0.7583619675067057), 0.6522650179816113),
+    ((0.22036955505686318, 0.797223470989621), (0.08763161580717838, -1.6289888109369743), 2.9758321462868498),
+]
+
+
+def float_lipschitz_faults(ts, env, L):
+    """Envelope segments with a non-design end that break ``|dy| <= L dx`` in
+    floats, and design-to-design segments beyond the consistency tolerance."""
+    design = set(ts)
+    faults = []
+    for f in (env.upper, env.lower):
+        for (x0, y0), (x1, y1) in zip(f.points, f.points[1:]):
+            slack = information.CONSISTENCY_TOL if {x0, x1} <= design else 0.0
+            if abs(y1 - y0) > L * (x1 - x0) + slack:
+                faults.append(((x0, y0), (x1, y1)))
+    return faults
+
+
+def record_sag_calls(monkeypatch):
+    """Record ``((t, y, t2, y2, L, xk), yk)`` for every ``_sagged_ordinate`` call."""
+    calls = []
+    real = information._sagged_ordinate
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(information, "_sagged_ordinate", record)
+    return calls
+
+
+def on_both_cones(t, y, t2, y2, L, xk, yk):
+    return abs(yk - y) <= L * (xk - t) and abs(y2 - yk) <= L * (t2 - xk)
+
+
+@st.composite
+def ulp_spaced_data(draw):
+    """A design with some neighbours a few ulps apart, data stepping mostly at
+    slope exactly +/-L in float arithmetic, and ``L``."""
+    t = draw(st.floats(0.0, 0.5))
+    ts = [t]
+    for _ in range(draw(st.integers(1, 11))):
+        if draw(st.integers(0, 9)) < 3:
+            for _ in range(draw(st.integers(1, 4))):
+                t = math.nextafter(t, 2.0)
+        else:
+            t += draw(st.floats(0.0, 0.5)) * (1.0 - t)
+        if not ts[-1] < t <= 1.0:
+            break
+        ts.append(t)
+    L = draw(st.sampled_from([1.0, 3.0]) | st.floats(0.1, 5.0))
+    ys = [draw(st.floats(-1.0, 1.0))]
+    for a, b in zip(ts, ts[1:]):
+        slope = draw(st.sampled_from([1.0, -1.0]) | st.floats(-1.0, 1.0))
+        ys.append(ys[-1] + slope * L * (b - a))
+    return tuple(ts), tuple(ys), L
+
+
 class TestSaggedOrdinate:
     def test_reached_by_design_points_two_ulp_apart(self, monkeypatch):
         calls = []
@@ -187,6 +260,74 @@ class TestSaggedOrdinate:
             for t, y in ((t1, 0.0), (t2, y2)):
                 assert feval(env.upper, t).hex() == y.hex()
                 assert feval(env.lower, t).hex() == y.hex()
+
+    def test_stops_at_its_floor_and_the_kink_is_dropped(self, monkeypatch):
+        calls = record_sag_calls(monkeypatch)
+        ts = (0.21415621562860077, 0.21415621562860085)
+        ys = (0.8620520746803226, 0.8620520746803224)
+        env = envelopes(Design(ts), DataVector(ys), 3.0)
+        [(args, yk)] = calls
+        assert yk <= min(ys)
+        assert not on_both_cones(*args, yk)
+        assert env.upper.points[1:3] == tuple(zip(ts, ys))
+        assert float_lipschitz_faults(ts, env, 3.0) == []
+
+
+class TestFloatLipschitz:
+    @pytest.mark.parametrize("ts, ys, L", NO_ORDINATE_ON_BOTH_CONES)
+    def test_kink_without_float_ordinate_is_dropped(self, ts, ys, L):
+        assert abs(ys[1] - ys[0]) <= L * (ts[1] - ts[0])
+        env = envelopes(Design(ts), DataVector(ys), L)
+        promise = Promise(L, -10.0, 10.0)
+        assert check_promise(env.upper, promise, 2)
+        assert check_promise(env.lower, promise, 2)
+        assert float_lipschitz_faults(ts, env, L) == []
+        # the gap is the design chord on both envelopes
+        assert env.upper.points[1:3] == env.lower.points[1:3] == tuple(zip(ts, ys))
+
+    @given(ulp_spaced_data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_segment_float_lipschitz(self, case):
+        ts, ys, L = case
+        env = envelopes(Design(ts), DataVector(ys), L)
+        assert float_lipschitz_faults(ts, env, L) == []
+        for t, y in zip(ts, ys):
+            assert feval(env.upper, t) == y == feval(env.lower, t)
+
+
+class TestNudgesExhausted:
+    """The straddle pair runs out of nudges and ``_sagged_ordinate`` takes over."""
+
+    def _sag_call(self, monkeypatch, ts, ys, L):
+        calls = record_sag_calls(monkeypatch)
+        env = envelopes(Design(ts), DataVector(ys), L)
+        [(args, yk)] = calls
+        t, _, t2, _, _, xk = args
+        # both straddle neighbours lie inside the gap, so the nudges ran out
+        assert t < math.nextafter(xk, t) and math.nextafter(xk, t2) < t2
+        return env, args, yk
+
+    def test_sag_succeeds(self, monkeypatch):
+        ts = (0.4642066208401521, 0.8556535249769864)
+        ys = (-0.12443429572803955, -1.2987750081385425)
+        env, args, yk = self._sag_call(monkeypatch, ts, ys, 3.0)
+        assert on_both_cones(*args, yk)
+        assert env.upper.points[1:4] == ((ts[0], ys[0]), (args[-1], yk), (ts[1], ys[1]))
+        assert float_lipschitz_faults(ts, env, 3.0) == []
+
+    def test_sag_fails_and_kink_is_dropped(self, monkeypatch):
+        ts, ys, L = NO_ORDINATE_ON_BOTH_CONES[1]
+        env, args, yk = self._sag_call(monkeypatch, ts, ys, L)
+        assert not on_both_cones(*args, yk)
+        assert env.upper.points[1:3] == tuple(zip(ts, ys))
+
+
+class TestPullOntoCone:
+    def test_walks_out_addition_rounding(self):
+        # 0.1 + 0.2 rounds up past the bound; one ulp back toward 0.1 passes
+        y = information._pull_onto_cone(1.0, 0.1, 0.2)
+        assert y == 0.3 and abs(y - 0.1) <= 0.2
+        assert abs(math.nextafter(y, 1.0) - 0.1) > 0.2
 
 
 class TestIntervalH:

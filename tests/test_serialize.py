@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qibc.exceptions import ValidationError
+from qibc.functions import function_from_json, promise_from_json
 from qibc.serialize import (
     dumps_json,
     format_float,
     read_csv,
     render_csv,
 )
+from qibc.simulator import _query_from_json, algorithm_from_json, gate_from_json
 
 
 class TestFormatFloat:
@@ -89,3 +92,58 @@ class TestCsv:
 
     def test_booleans_lowercase(self):
         assert render_csv(["ok"], [(True,), (False,)]) == "ok\ntrue\nfalse\n"
+
+
+_VALID_DOCS = {
+    "gate": {"gate": "H", "targets": [0]},
+    "query": {"m_prime": 1, "m_double_prime": 1, "range": [0.0, 1.0], "tau_rule": "midpoint"},
+    "algorithm": {
+        "nu": 1,
+        "query": None,
+        "layers": [[{"gate": "H", "targets": [0]}]],
+        "measure": [0],
+        "decode": {"scale": 1.0, "offset": 0.0},
+    },
+    "promise": {"L": 1.0, "range": [-1.0, 1.0]},
+    "function": {
+        "family": "constant",
+        "value": 0.0,
+        "promise": {"L": 1.0, "range": [-1.0, 1.0]},
+    },
+}
+
+_READERS = {
+    "gate": gate_from_json,
+    "query": _query_from_json,
+    "algorithm": algorithm_from_json,
+    "promise": promise_from_json,
+    "function": function_from_json,
+}
+
+
+class TestJsonReaderShape:
+    """Each JSON reader's two shape errors, pinned byte for byte."""
+
+    @pytest.mark.parametrize("what", sorted(_READERS))
+    def test_valid_document_loads(self, what):
+        _READERS[what](_VALID_DOCS[what])
+
+    @pytest.mark.parametrize("what", sorted(_READERS))
+    @pytest.mark.parametrize("node, type_name", [([1], "list"), ("x", "str"), (None, "NoneType")])
+    def test_not_an_object(self, what, node, type_name):
+        with pytest.raises(ValidationError) as exc:
+            _READERS[what](node)
+        assert str(exc.value) == f"{what} must be a JSON object, got {type_name}"
+
+    @pytest.mark.parametrize("what", sorted(_READERS))
+    def test_unknown_keys_sorted(self, what):
+        doc = dict(_VALID_DOCS[what], zeta=1, alpha=2)
+        with pytest.raises(ValidationError) as exc:
+            _READERS[what](doc)
+        assert str(exc.value) == f"unknown {what} keys: ['alpha', 'zeta']"
+
+    def test_function_keys_checked_before_its_promise(self):
+        doc = dict(_VALID_DOCS["function"], promise=[1], zeta=1)
+        with pytest.raises(ValidationError) as exc:
+            function_from_json(doc)
+        assert str(exc.value) == "unknown function keys: ['zeta']"

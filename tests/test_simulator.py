@@ -32,6 +32,8 @@ from qibc import (
     distribution,
     distribution_from_csv,
     distribution_to_csv,
+    gate_from_json,
+    gate_to_json,
     measure,
     midpoint_algorithm,
     optimal_design,
@@ -41,6 +43,7 @@ from qibc import (
     tau_point,
     zero_state,
 )
+from qibc.serialize import dumps_json
 from helpers import LABEL_GATE_KINDS, random_gate, random_lipschitz_pwl, random_unitary
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
@@ -630,6 +633,18 @@ class TestSerialization:
         got = measure(run(old, f), old)
         assert [(j, phi) for j, _, phi in got.entries] == [(j, phi) for j, _, phi in want.entries]
         assert max(abs(a[1] - b[1]) for a, b in zip(got.entries, want.entries)) < 1e-12
+
+    @pytest.mark.parametrize("targets", [(2,), (0, 2)])
+    def test_unitary_gate_round_trips_through_text(self, targets):
+        rng = np.random.default_rng(len(targets))
+        g = GateOp("unitary", targets, matrix=random_unitary(rng, len(targets)))
+        doc = json.loads(dumps_json(gate_to_json(g)))
+        assert set(doc) == {"gate", "targets", "matrix"}
+        assert gate_from_json(doc) == g
+        a = AlgorithmSpec(3, None, ((GateOp("H", (1,)), g),), (0, 1, 2), AffineDecode(1.0, 0.0))
+        back = algorithm_from_json(json.loads(dumps_json(algorithm_to_json(a))))
+        assert back == a
+        assert distribution(back, RAMP) == distribution(a, RAMP)
 
     def test_sin2_decode_round_trip(self):
         a = AlgorithmSpec(2, None, ((),), (0,), Sin2Decode())
