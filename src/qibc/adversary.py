@@ -72,7 +72,9 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
 
     Both members are returned as serializable piecewise-linear functions with
     an embedded promise (bound ``L``, symmetric range covering the spikes), so
-    they can be fed back into simulator runs.
+    they can be fed back into simulator runs. ``f_plus`` adopts the upper
+    envelope's breakpoints, which :func:`envelopes` has just validated, and
+    ``f_minus`` is its :func:`negate`; neither is validated again.
     """
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
@@ -82,7 +84,7 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
     assert env.upper.points is not None
     peak = max(abs(y) for _, y in env.upper.points)
     promise = Promise(L, -peak, peak) if peak > 0.0 else None
-    f_plus = FunctionSpec(family="pwl", points=env.upper.points, promise=promise)
+    f_plus = FunctionSpec._valid_pwl(env.upper.points, promise)
     f_minus = negate(f_plus)
     gap = exact_integral(f_plus) - exact_integral(f_minus)
     return FoolingPair(f_plus=f_plus, f_minus=f_minus, gap=gap)

@@ -141,6 +141,19 @@ class FunctionSpec:
                 f"unknown family {self.family!r}; expected pwl | constant | trig"
             )
 
+    @classmethod
+    def _valid_pwl(
+        cls, points: tuple[tuple[float, float], ...], promise: Promise | None
+    ) -> FunctionSpec:
+        """A pwl over ``points``, float pairs that pass every pwl check; not validated again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "family", "pwl")
+        object.__setattr__(f, "points", points)
+        object.__setattr__(f, "value", None)
+        object.__setattr__(f, "coefficients", None)
+        object.__setattr__(f, "promise", promise)
+        return f
+
 
 def pwl(points: Iterable[tuple[float, float]], promise: Promise | None = None) -> FunctionSpec:
     """Piecewise-linear function through ``points``."""
@@ -193,6 +206,33 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
         terms.append(a * math.cos(w))
         terms.append(b * math.sin(w))
     return math.fsum(terms)
+
+
+def _eval_sorted(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
+    """``[eval(f, x) for x in xs]``, bit for bit, for a pwl ``f`` and ascending ``xs`` in [0, 1].
+
+    One segment pointer moves forward through the breakpoints instead of a
+    bisection per point, so the walk is O(len(xs) + len(f.points)). It picks
+    the segment ``eval`` picks and uses the same expressions.
+    """
+    pts = f.points
+    assert pts is not None
+    last = len(pts) - 2
+    i = 0
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    out = []
+    for x in xs:
+        while i < last and x1 <= x:
+            i += 1
+            x0, y0 = x1, y1
+            x1, y1 = pts[i + 1]
+        if x == x0:
+            out.append(y0)
+        elif x == x1:
+            out.append(y1)
+        else:
+            out.append(y0 + (y1 - y0) * ((x - x0) / (x1 - x0)))
+    return out
 
 
 def eval_many(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
@@ -257,7 +297,11 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
 
 
 def negate(f: FunctionSpec) -> FunctionSpec:
-    """The function ``-f``, with the same promise (ranges are symmetric or absent)."""
+    """The function ``-f``, with the promise's range mirrored.
+
+    A pwl is not validated again: negating finite ordinates keeps every pwl
+    invariant, and the abscissae are unchanged.
+    """
     promise = f.promise
     if promise is not None:
         promise = Promise(promise.lipschitz_bound, -promise.range_hi, -promise.range_lo)
@@ -265,7 +309,7 @@ def negate(f: FunctionSpec) -> FunctionSpec:
         return constant(-f.value, promise)  # type: ignore[operator]
     if f.family == "pwl":
         assert f.points is not None
-        return pwl(tuple((x, -y) for x, y in f.points), promise)
+        return FunctionSpec._valid_pwl(tuple((x, -y) for x, y in f.points), promise)
     assert f.coefficients is not None
     return trig(tuple(-c for c in f.coefficients), promise)
 

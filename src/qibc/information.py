@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .exceptions import InfeasibleDataError, ValidationError
-from .functions import FunctionSpec, eval as feval, exact_integral, negate, pwl
+from .functions import FunctionSpec, _eval_sorted, eval as feval, exact_integral, pwl
 
 __all__ = [
     "Design",
@@ -97,7 +97,13 @@ class DataVector:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Pointwise extreme functions of the data-consistent Lipschitz class."""
+    """Pointwise extreme functions of the data-consistent Lipschitz class.
+
+    Construction checks ``lower <= upper + 1e-12`` at every breakpoint of
+    either member, which suffices between breakpoints since both are linear
+    there. Both members are evaluated over the sorted union of breakpoints in
+    one forward walk each, with the values ``eval`` would give.
+    """
 
     upper: FunctionSpec
     lower: FunctionSpec
@@ -108,8 +114,9 @@ class Envelope:
         xs = sorted(
             {x for x, _ in self.upper.points} | {x for x, _ in self.lower.points}
         )
-        for x in xs:
-            if feval(self.lower, x) > feval(self.upper, x) + CONSISTENCY_TOL:
+        los, his = _eval_sorted(self.lower, xs), _eval_sorted(self.upper, xs)
+        for x, lo, hi in zip(xs, los, his):
+            if lo > hi + CONSISTENCY_TOL:
                 raise ValidationError(f"lower envelope exceeds upper at x={x}")
 
 

@@ -657,15 +657,15 @@ def _decode_to_json(d: Decode) -> dict[str, Any]:
 
 
 def _decode_from_json(node: Any) -> Decode:
-    if not isinstance(node, dict):
-        raise ValidationError(f"decode must be a JSON object, got {type(node).__name__}")
-    if node.get("kind") == "sin2":
-        if set(node) != {"kind"}:
-            raise ValidationError(f"sin2 decode takes no other keys: {node!r}")
+    if isinstance(node, dict) and node.get("kind") == "sin2":
+        check_keys(node, "decode", {"kind"})
         return Sin2Decode()
-    if set(node) != {"scale", "offset"}:
-        raise ValidationError(f"malformed decode: {node!r}")
-    return AffineDecode(scale=float(node["scale"]), offset=float(node["offset"]))
+    check_keys(node, "decode", {"scale", "offset"})
+    try:
+        scale, offset = float(node["scale"]), float(node["offset"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed decode: {node!r}") from exc
+    return AffineDecode(scale=scale, offset=offset)
 
 
 def algorithm_to_json(a: AlgorithmSpec) -> dict[str, Any]:
@@ -691,7 +691,9 @@ def algorithm_from_json(node: Any) -> AlgorithmSpec:
             measure=tuple(int(t) for t in node["measure"]),
             decode=_decode_from_json(node["decode"]),
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed algorithm: {exc}") from exc
 
 

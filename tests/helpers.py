@@ -91,6 +91,32 @@ def list_rebuild_eval(f: FunctionSpec, x: float) -> float:
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
+def pointwise_envelope_check(upper: FunctionSpec, lower: FunctionSpec) -> str | None:
+    """Per-point form of the ``Envelope`` check: the rejection message, or None.
+
+    Evaluates both members with ``qibc.eval`` (one bisection per point) at
+    every point of the sorted union of their breakpoint abscissae, and fails
+    at the first ``x`` where ``lower > upper + 1e-12``.
+    """
+    xs = sorted({x for x, _ in upper.points} | {x for x, _ in lower.points})
+    for x in xs:
+        if qibc.eval(lower, x) > qibc.eval(upper, x) + 1e-12:
+            return f"lower envelope exceeds upper at x={x}"
+    return None
+
+
+def radius_closed_form(d: Design, L: float) -> float:
+    """``L (t_1^2/2 + sum gap^2/4 + (1 - t_n)^2/2)``, the worst-case radius.
+
+    The integral of ``L min_i |x - t_i|`` summed per piece in closed form:
+    the end pieces are half-squares and each design gap holds two triangles
+    meeting at its midpoint. Summed with ``math.fsum``.
+    """
+    t = d.points
+    pieces = [t[0] ** 2 / 2, *((b - a) ** 2 / 4 for a, b in zip(t, t[1:])), (1 - t[-1]) ** 2 / 2]
+    return L * math.fsum(pieces)
+
+
 def riemann_envelope_integrals(
     points: tuple[float, ...],
     y: tuple[float, ...],

@@ -15,7 +15,10 @@ from qibc import (
     exact_integral,
     foil,
     fooling_pair,
+    function_from_json,
+    function_to_json,
     optimal_design,
+    pwl,
     worst_radius,
 )
 from helpers import random_design, riemann_integral
@@ -64,6 +67,19 @@ class TestFoolingPair:
         for x in np.linspace(0.0, 1.0, 101):
             x = float(x)
             assert feval(pair.f_minus, x) == -feval(pair.f_plus, x)
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_members_equal_validated_builds(self, seed):
+        # both members adopt their points unvalidated; f_minus carries -0.0
+        # ordinates at the design points
+        rng = np.random.default_rng(800 + seed)
+        d = random_design(rng, int(rng.integers(1, 40)))
+        pair = fooling_pair(d, float(rng.uniform(0.1, 8.0)))
+        for f in (pair.f_plus, pair.f_minus):
+            built = pwl(f.points, f.promise)
+            assert f == built and hash(f) == hash(built)
+            assert function_from_json(function_to_json(f)) == f
 
 
 class TestFoil:

@@ -374,7 +374,14 @@ class TestUnreadableInputExits2:
 
     @pytest.fixture
     def files(self, tmp_path, midpoint_files):
-        _, f_path, _ = midpoint_files
+        alg_path, f_path, _ = midpoint_files
+        alg = json.loads(alg_path.read_text())
+        for name, key, value in (
+            ("nu_abc", "nu", "abc"),
+            ("measure_abc", "measure", ["abc"]),
+            ("scale_abc", "decode", {"scale": "abc", "offset": 0}),
+        ):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**alg, key: value}))
         (tmp_path / "utf16.csv").write_text("j,p,phi\n0,1.0,0.0\n", encoding="utf-16")
         (tmp_path / "utf16.json").write_text('{"nu": 2}', encoding="utf-16")
         (tmp_path / "design_a.json").write_text('{"design": ["a"], "weights": [1.0]}')
@@ -391,9 +398,13 @@ class TestUnreadableInputExits2:
             ("simulate", "--alg", "{d}/utf16.json", "--f", "{f}"),
             ("foil", "--quadrature", "{d}/design_a.json", "--L", "1"),
             ("foil", "--quadrature", "{d}/weights_x.json", "--L", "1"),
+            ("simulate", "--alg", "{d}/nu_abc.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/measure_abc.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/scale_abc.json", "--f", "{f}"),
         ],
         ids=["missing-csv", "directory-csv", "utf16-csv", "utf16-json",
-             "non-numeric-design", "non-numeric-weights"],
+             "non-numeric-design", "non-numeric-weights", "non-numeric-nu",
+             "non-numeric-measure", "non-numeric-decode-scale"],
     )
     def test_exit_2_without_traceback(self, files, argv):
         d, f = files

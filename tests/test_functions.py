@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qibc import (
     FunctionSpec,
@@ -22,6 +24,7 @@ from qibc import (
     pwl,
     trig,
 )
+from qibc.functions import _eval_sorted
 from helpers import list_rebuild_eval, random_lipschitz_pwl, riemann_integral
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), Promise(1.0, -1.0, 1.0))
@@ -146,6 +149,46 @@ class TestNegate:
         f = pwl(((0.0, 0.1), (1.0, 0.9)), Promise(1.0, 0.0, 1.0))
         g = negate(f)
         assert (g.promise.range_lo, g.promise.range_hi) == (-1.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("promise", [None, Promise(1.5, -2.0, 1.0)], ids=["bare", "promise"])
+    def test_equals_validated_build(self, seed, promise):
+        # negate adopts its points unvalidated; they must be what pwl() builds
+        pts = list(random_lipschitz_pwl(np.random.default_rng(seed), 1.5).points)
+        i = 1 + seed % (len(pts) - 2)
+        pts[i] = (pts[i][0], -0.0)
+        f = pwl(pts, promise)
+        g = negate(f)
+        mirrored = None if promise is None else Promise(1.5, -1.0, 2.0)
+        want = pwl([(x, -y) for x, y in f.points], mirrored)
+        assert g == want and hash(g) == hash(want)
+        assert [(x.hex(), y.hex()) for x, y in g.points] == [
+            (x.hex(), y.hex()) for x, y in want.points
+        ]
+        assert function_from_json(function_to_json(g)) == g
+
+
+@st.composite
+def pwl_functions(draw):
+    """A pwl with random, sometimes ulp-apart breakpoints and ``0.0``/``-0.0`` ordinates."""
+    xs = {0.0, 1.0} | draw(
+        st.sets(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12)
+    )
+    for x in draw(st.lists(st.sampled_from(sorted(xs)), max_size=3)):
+        xs.add(math.nextafter(x, 1.0) if x < 1.0 else math.nextafter(x, 0.0))
+    ordinates = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+    return pwl([(x, draw(ordinates)) for x in sorted(xs)])
+
+
+class TestEvalSorted:
+    @given(pwl_functions())
+    @settings(max_examples=500, deadline=None)
+    def test_bitwise_equal_to_eval(self, f):
+        probes = {0.0, 1.0}
+        for x, _ in f.points:
+            probes |= {x, math.nextafter(x, -1.0), math.nextafter(x, 2.0)}
+        xs = sorted(x for x in probes if 0.0 <= x <= 1.0)
+        assert [y.hex() for y in _eval_sorted(f, xs)] == [feval(f, x).hex() for x in xs]
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ import qibc.information as information
 from qibc import (
     DataVector,
     Design,
+    Envelope,
     InfeasibleDataError,
     Promise,
     ValidationError,
@@ -31,6 +32,8 @@ from qibc import (
 )
 from helpers import (
     pairwise_consistent,
+    pointwise_envelope_check,
+    radius_closed_form,
     random_consistent_data,
     random_design,
     random_lipschitz_pwl,
@@ -143,6 +146,54 @@ class TestEnvelopes:
         lo, hi = riemann_envelope_integrals(d.points, y, 1.0, panels=1_000_000)
         assert rep.h_lo == pytest.approx(lo, abs=1e-9)
         assert rep.h_hi == pytest.approx(hi, abs=1e-9)
+
+
+#: Offsets from the ``Envelope`` tolerance edge ``upper + 1e-12`` for a planted point.
+ENVELOPE_EDGE_OFFSETS = (1e-13, -1e-13, 1e-15, -1e-15, 0.0)
+
+
+@st.composite
+def envelope_pairs(draw):
+    """An (upper, lower) pwl pair whose breakpoints are partly shared and partly
+    interleaved, with ``0.0``/``-0.0`` ordinates and the lower member mostly
+    below the upper; with probability 0.7 one lower breakpoint is moved onto
+    the tolerance edge ``upper + 1e-12 +/- delta``."""
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    shared = sorted(draw(st.sets(inner, max_size=5)))
+
+    def abscissae():
+        start = draw(st.sampled_from([0.0, -0.0]))
+        kept = {x for x in shared if draw(st.booleans())}
+        return [start, *sorted(kept | draw(st.sets(inner, max_size=5))), 1.0]
+
+    signed_zero = st.sampled_from([0.0, -0.0])
+    upper = pwl([(x, draw(signed_zero | st.floats(-1.0, 1.0))) for x in abscissae()])
+    lower = []
+    for x in abscissae():
+        if draw(st.integers(0, 9)) < 2:
+            lower.append((x, draw(signed_zero)))
+        else:
+            lower.append((x, feval(upper, x) - draw(signed_zero | st.floats(0.0, 1.0))))
+    if draw(st.integers(0, 9)) < 7:
+        i = draw(st.integers(0, len(lower) - 1))
+        x = lower[i][0]
+        edge = information.CONSISTENCY_TOL + draw(st.sampled_from(ENVELOPE_EDGE_OFFSETS))
+        lower[i] = (x, feval(upper, x) + edge)
+    return upper, pwl(lower)
+
+
+class TestEnvelopeCheck:
+    @given(envelope_pairs())
+    @settings(max_examples=1000, deadline=None)
+    def test_verdict_and_message_match_pointwise_oracle(self, pair):
+        upper, lower = pair
+        want = pointwise_envelope_check(upper, lower)
+        try:
+            Envelope(upper=upper, lower=lower)
+        except ValidationError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
 
 
 class TestConsistencyCheck:
@@ -372,6 +423,20 @@ class TestWorstRadius:
             d = random_design(rng, n)
             oracle = riemann_min_dist_integral(d.points, 1.5, panels=1_000_000)
             assert worst_radius(d, 1.5) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0, 7.25])
+    def test_closed_form_on_random_designs(self, L):
+        rng = np.random.default_rng(int(L * 4))
+        for n in (1, 2, 3, 10, 100, 1000, 10_000):
+            d = Design(tuple(float(t) for t in np.unique(rng.uniform(0.0, 1.0, size=n))))
+            want = radius_closed_form(d, L)
+            assert abs(worst_radius(d, L) - want) <= 4 * math.ulp(want), (n, L)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0, 7.25])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_optimal_design_equals_L_over_4n(self, n, L):
+        # bitwise only at these n: at L=1 it misses by an ulp at n=5, 11, ...
+        assert worst_radius(optimal_design(n), L).hex() == (L / (4 * n)).hex()
 
     def test_linear_in_L(self):
         d = Design((0.1, 0.4, 0.9))

@@ -17,7 +17,12 @@ from qibc.serialize import (
     read_csv,
     render_csv,
 )
-from qibc.simulator import _query_from_json, algorithm_from_json, gate_from_json
+from qibc.simulator import (
+    _decode_from_json,
+    _query_from_json,
+    algorithm_from_json,
+    gate_from_json,
+)
 
 
 class TestFormatFloat:
@@ -95,6 +100,7 @@ class TestCsv:
 
 
 _VALID_DOCS = {
+    "decode": {"scale": 1.0, "offset": 0.0},
     "gate": {"gate": "H", "targets": [0]},
     "query": {"m_prime": 1, "m_double_prime": 1, "range": [0.0, 1.0], "tau_rule": "midpoint"},
     "algorithm": {
@@ -113,6 +119,7 @@ _VALID_DOCS = {
 }
 
 _READERS = {
+    "decode": _decode_from_json,
     "gate": gate_from_json,
     "query": _query_from_json,
     "algorithm": algorithm_from_json,
@@ -141,6 +148,11 @@ class TestJsonReaderShape:
         with pytest.raises(ValidationError) as exc:
             _READERS[what](doc)
         assert str(exc.value) == f"unknown {what} keys: ['alpha', 'zeta']"
+
+    def test_sin2_decode_unknown_keys_sorted(self):
+        with pytest.raises(ValidationError) as exc:
+            _decode_from_json({"kind": "sin2", "zeta": 1, "alpha": 2})
+        assert str(exc.value) == "unknown decode keys: ['alpha', 'zeta']"
 
     def test_function_keys_checked_before_its_promise(self):
         doc = dict(_VALID_DOCS["function"], promise=[1], zeta=1)
