@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import ValidationError
-from .functions import FunctionSpec, Promise, exact_integral, negate
-from .information import DataVector, Design, envelopes
+from .functions import FunctionSpec, Promise, exact_integral, negate, pwl
+from .information import Design, _spike
 
 __all__ = ["FoolingPair", "Quadrature", "fooling_pair", "foil"]
 
@@ -72,19 +72,17 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
 
     Both members are returned as serializable piecewise-linear functions with
     an embedded promise (bound ``L``, symmetric range covering the spikes), so
-    they can be fed back into simulator runs. ``f_plus`` adopts the upper
-    envelope's breakpoints, which :func:`envelopes` has just validated, and
-    ``f_minus`` is its :func:`negate`; neither is validated again.
+    they can be fed back into simulator runs. ``f_plus`` is the zero-data
+    upper envelope, built from the same breakpoints :func:`envelopes` gives,
+    and ``f_minus`` is its :func:`negate`.
     """
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise ValidationError(f"fooling pairs need L > 0, got {L!r}")
-    zeros = DataVector((0.0,) * d.n)
-    env = envelopes(d, zeros, L)
-    assert env.upper.points is not None
-    peak = max(abs(y) for _, y in env.upper.points)
+    points = _spike(d, L)
+    peak = max(abs(y) for _, y in points)
     promise = Promise(L, -peak, peak) if peak > 0.0 else None
-    f_plus = FunctionSpec._valid_pwl(env.upper.points, promise)
+    f_plus = pwl(points, promise)
     f_minus = negate(f_plus)
     gap = exact_integral(f_plus) - exact_integral(f_minus)
     return FoolingPair(f_plus=f_plus, f_minus=f_minus, gap=gap)

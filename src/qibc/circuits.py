@@ -147,7 +147,6 @@ def midpoint_algorithm(
     m_double_prime: int,
     range_lo: float,
     range_hi: float,
-    tau_rule: str = "midpoint",
 ) -> AlgorithmSpec:
     """The composite-midpoint circuit itself, without simulating it.
 
@@ -159,7 +158,6 @@ def midpoint_algorithm(
         m_double_prime=m_double_prime,
         range_lo=range_lo,
         range_hi=range_hi,
-        tau_rule=tau_rule,
     )
     w = m_prime + m_double_prime
     adder = _controlled_add_value(m_prime, m_double_prime)
@@ -195,14 +193,13 @@ def build_reversible_midpoint(
     f: FunctionSpec,
     range_lo: float,
     range_hi: float,
-    tau_rule: str = "midpoint",
 ) -> tuple[AlgorithmSpec, OutcomeDistribution]:
     """Deterministic composite-midpoint circuit and its (point-mass) outcome.
 
     The decoded estimate is ``lo + span * (sum_j beta_j) / 2^{m'+m''}``, i.e.
     the mean of the per-point decoded codes.
     """
-    alg = midpoint_algorithm(m_prime, m_double_prime, range_lo, range_hi, tau_rule)
+    alg = midpoint_algorithm(m_prime, m_double_prime, range_lo, range_hi)
     return alg, distribution(alg, f)
 
 
@@ -211,7 +208,6 @@ def build_ae_mean(
     t: int,
     range_lo: float,
     range_hi: float,
-    tau_rule: str = "midpoint",
 ) -> AlgorithmSpec:
     """Amplitude-estimation circuit for the mean of the 1-bit discretized f.
 
@@ -228,7 +224,6 @@ def build_ae_mean(
         m_double_prime=1,
         range_lo=range_lo,
         range_hi=range_hi,
-        tau_rule=tau_rule,
     )
     index = tuple(range(m_prime))
     value = m_prime
@@ -284,7 +279,7 @@ def build_bound_fixture(eps: float, L: float = 1.0) -> BoundFixture:
     n_req = m_eps(L, eps)
     m_prime = max(1, (n_req - 1).bit_length())
     m_double_prime = max(1, min(4, 8 - m_prime))
-    alg = midpoint_algorithm(m_prime, m_double_prime, -1.0, 1.0, "midpoint")
+    alg = midpoint_algorithm(m_prime, m_double_prime, -1.0, 1.0)
     pair = fooling_pair(optimal_design(1 << m_prime), L)
     family: list[FunctionSpec] = [pair.f_plus, pair.f_minus, constant(0.0)]
     if m_double_prime >= 3:

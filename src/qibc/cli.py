@@ -10,12 +10,14 @@ Exit codes:
 * 2 — validation error (malformed input, inconsistent data, bad config);
 * 3 — premise violation (e.g. ``extract`` finds no qualifying cluster, or
   ``verify-bound`` measures a worst error above ``eps``);
-* 4 — capacity exceeded (qubit cap, brute-force subset cap).
+* 4 — capacity exceeded (qubit cap, brute-force subset cap, ``m(eps)``
+  above 2^53).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -112,13 +114,7 @@ def _cmd_radius(ns: argparse.Namespace) -> None:
     y = (0.0,) * len(points) if ns.y is None else _parse_floats(ns.y, "--y")
     report = interval_H(envelopes(Design(points), DataVector(y), ns.L))
     if ns.format == "json":
-        doc = {
-            "h_lo": report.h_lo,
-            "h_hi": report.h_hi,
-            "radius": report.radius,
-            "center": report.center,
-        }
-        sys.stdout.write(dumps_json(doc))
+        sys.stdout.write(dumps_json(dataclasses.asdict(report)))
     else:
         print(format_float(report.radius))
 

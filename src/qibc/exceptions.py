@@ -49,4 +49,4 @@ class PremiseViolationError(QibcError):
 
 
 class CapacityError(QibcError):
-    """A configured resource cap would be exceeded (qubits, subset size)."""
+    """A resource cap would be exceeded (qubits, subset size, ``m(eps)`` past 2^53)."""

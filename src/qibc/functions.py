@@ -141,19 +141,6 @@ class FunctionSpec:
                 f"unknown family {self.family!r}; expected pwl | constant | trig"
             )
 
-    @classmethod
-    def _valid_pwl(
-        cls, points: tuple[tuple[float, float], ...], promise: Promise | None
-    ) -> FunctionSpec:
-        """A pwl over ``points``, float pairs that pass every pwl check; not validated again."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "family", "pwl")
-        object.__setattr__(f, "points", points)
-        object.__setattr__(f, "value", None)
-        object.__setattr__(f, "coefficients", None)
-        object.__setattr__(f, "promise", promise)
-        return f
-
 
 def pwl(points: Iterable[tuple[float, float]], promise: Promise | None = None) -> FunctionSpec:
     """Piecewise-linear function through ``points``."""
@@ -297,11 +284,7 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
 
 
 def negate(f: FunctionSpec) -> FunctionSpec:
-    """The function ``-f``, with the promise's range mirrored.
-
-    A pwl is not validated again: negating finite ordinates keeps every pwl
-    invariant, and the abscissae are unchanged.
-    """
+    """The function ``-f``, with the promise's range mirrored."""
     promise = f.promise
     if promise is not None:
         promise = Promise(promise.lipschitz_bound, -promise.range_hi, -promise.range_lo)
@@ -309,7 +292,7 @@ def negate(f: FunctionSpec) -> FunctionSpec:
         return constant(-f.value, promise)  # type: ignore[operator]
     if f.family == "pwl":
         assert f.points is not None
-        return FunctionSpec._valid_pwl(tuple((x, -y) for x, y in f.points), promise)
+        return pwl([(x, -y) for x, y in f.points], promise)
     assert f.coefficients is not None
     return trig(tuple(-c for c in f.coefficients), promise)
 

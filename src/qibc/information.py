@@ -13,7 +13,9 @@ and the set of integrals of consistent functions is exactly the interval
 information* — is the intrinsic worst-case error of any method that only sees
 the data. The radius is maximized by constant data (``y = 0`` after a shift),
 which gives ``worst_radius(d, L) = L * integral(min_i |x - t_i|)``; the
-midpoint design ``t_i = (2i-1)/(2n)`` minimizes it at ``L/(4n)``.
+midpoint design ``t_i = (2i-1)/(2n)`` minimizes it at ``L/(4n)``. That
+zero-data spike is built directly, not through ``envelopes``, for
+``worst_radius`` and for the adversary's fooling pair.
 
 All integration here is exact breakpoint enumeration (trapezoid on linear
 pieces), never quadrature, so radii are reference-grade. A one-ulp repair
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exceptions import InfeasibleDataError, ValidationError
+from .exceptions import CapacityError, InfeasibleDataError, ValidationError
 from .functions import FunctionSpec, _eval_sorted, eval as feval, exact_integral, pwl
 
 __all__ = [
@@ -312,9 +314,7 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
     matches the data (every pair checked in one pass, additive tolerance
     1e-12).
     """
-    L = float(L)
-    if not math.isfinite(L) or L < 0.0:
-        raise ValidationError(f"Lipschitz bound must be finite and >= 0, got {L!r}")
+    L = _lipschitz_bound(L)
     ts, ys = d.points, y.values
     if len(ts) != len(ys):
         raise ValidationError(
@@ -344,14 +344,31 @@ def interval_H(e: Envelope) -> RadiusReport:
     )
 
 
+def _lipschitz_bound(L: float) -> float:
+    L = float(L)
+    if not math.isfinite(L) or L < 0.0:
+        raise ValidationError(f"Lipschitz bound must be finite and >= 0, got {L!r}")
+    return L
+
+
+def _spike(d: Design, L: float) -> list[tuple[float, float]]:
+    """Breakpoints of the zero-data upper envelope ``L * min_i |x - t_i|``, for ``L > 0``.
+
+    Zero data is consistent and its lower envelope is this spike's mirror, so
+    neither needs checking.
+    """
+    return _upper_breakpoints(d.points, (0.0,) * d.n, L)
+
+
 def worst_radius(d: Design, L: float) -> float:
     """Radius of information at the worst data vector (constant data).
 
-    Equals ``L * integral_0^1 min_i |x - t_i| dx`` by exact piecewise
-    integration of the zero-data envelopes.
+    Equals ``L * integral_0^1 min_i |x - t_i| dx``, the exact piecewise
+    integral of the zero-data upper envelope: the lower envelope is its
+    mirror, so this is bitwise ``(h_hi - h_lo)/2`` of :func:`interval_H`.
     """
-    zeros = DataVector((0.0,) * d.n)
-    return interval_H(envelopes(d, zeros, L)).radius
+    L = _lipschitz_bound(L)
+    return exact_integral(pwl(_spike(d, L))) if L > 0.0 else 0.0
 
 
 def optimal_design(n: int) -> Design:
@@ -366,7 +383,10 @@ def m_eps(L: float, eps: float) -> int:
 
     Computed as ``ceil(L/(4*eps))`` with two float-guard adjustments so the
     bracket ``L/(4m) <= eps < L/(4(m-1))`` holds in float arithmetic even
-    when the ceiling argument lands within rounding of an integer.
+    when the ceiling argument lands within rounding of an integer. Raises
+    :class:`CapacityError` when ``L/(4*eps)`` exceeds ``2^53``: above it
+    consecutive integers are no longer distinct floats, so the bracket
+    cannot be checked.
     """
     L = float(L)
     eps = float(eps)
@@ -374,7 +394,13 @@ def m_eps(L: float, eps: float) -> int:
         raise ValidationError(f"L must be finite and > 0, got {L!r}")
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
-    m = max(1, math.ceil(L / (4.0 * eps)))
+    ratio = L / (4.0 * eps)
+    if not ratio <= 2.0**53:
+        raise CapacityError(
+            f"m(eps) for L={L!r}, eps={eps!r} exceeds 2^53, "
+            "where integers stop being distinct floats"
+        )
+    m = max(1, math.ceil(ratio))
     while m > 1 and L / (4.0 * (m - 1)) <= eps:
         m -= 1
     while L / (4.0 * m) > eps:

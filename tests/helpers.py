@@ -17,11 +17,15 @@ import numpy as np
 
 import qibc
 from qibc import (
+    DataVector,
     Design,
+    Envelope,
     FunctionSpec,
     GateOp,
     OutcomeDistribution,
     Promise,
+    envelopes,
+    interval_H,
     pwl,
 )
 
@@ -117,6 +121,18 @@ def radius_closed_form(d: Design, L: float) -> float:
     return L * math.fsum(pieces)
 
 
+def zero_data_envelopes(d: Design, L: float) -> Envelope:
+    """Zero data through the general data path: the consistency check, both
+    envelopes and their order check."""
+    return envelopes(d, DataVector((0.0,) * d.n), L)
+
+
+def radius_via_envelopes(d: Design, L: float) -> float:
+    """The worst-case radius by the general data path: half the length of
+    ``H`` for zero data."""
+    return interval_H(zero_data_envelopes(d, L)).radius
+
+
 def riemann_envelope_integrals(
     points: tuple[float, ...],
     y: tuple[float, ...],
@@ -155,6 +171,23 @@ def random_design(rng: np.random.Generator, n: int) -> Design:
         pts = np.sort(rng.uniform(0.0, 1.0, size=n))
         if n == 1 or float(np.diff(pts).min()) > 1e-6:
             return Design(tuple(float(p) for p in pts))
+
+
+def ulp_spaced_design(rng: np.random.Generator, n: int) -> Design:
+    """Up to ``n`` increasing points in [0, 1], about a third of the steps a
+    few ulps long and the rest a random share of the room left."""
+    t = float(rng.uniform(0.0, 0.5))
+    pts = [t]
+    for _ in range(n - 1):
+        if rng.integers(10) < 3:
+            for _ in range(int(rng.integers(1, 5))):
+                t = math.nextafter(t, 2.0)
+        else:
+            t += float(rng.uniform(0.0, 0.5)) * (1.0 - t)
+        if not pts[-1] < t <= 1.0:
+            break
+        pts.append(t)
+    return Design(tuple(pts))
 
 
 def random_consistent_data(

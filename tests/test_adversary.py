@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,61 @@ from qibc import (
     fooling_pair,
     function_from_json,
     function_to_json,
+    interval_H,
     optimal_design,
     pwl,
     worst_radius,
 )
-from helpers import random_design, riemann_integral
+from helpers import (
+    radius_via_envelopes,
+    random_design,
+    riemann_integral,
+    ulp_spaced_design,
+    zero_data_envelopes,
+)
+
+
+def bits(points):
+    """The bytes of a breakpoint tuple, so that ``0.0`` and ``-0.0`` differ."""
+    return np.asarray(points, dtype=float).tobytes()
+
+
+class TestSpikeAgainstEnvelopes:
+    """``worst_radius`` and ``fooling_pair`` build the zero-data spike directly;
+    the general data path through ``envelopes`` is their oracle."""
+
+    @staticmethod
+    def check(d, L):
+        env = zero_data_envelopes(d, L)
+        assert worst_radius(d, L).hex() == interval_H(env).radius.hex()
+        assert bits(fooling_pair(d, L).f_plus.points) == bits(env.upper.points)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    def test_optimal_designs(self, L):
+        for n in range(1, 301):
+            self.check(optimal_design(n), L)
+
+    @pytest.mark.parametrize("make", [random_design, ulp_spaced_design])
+    def test_seeded_designs(self, make):
+        rng = np.random.default_rng(900 if make is random_design else 901)
+        for k in range(150):
+            self.check(make(rng, int(rng.integers(1, 40))), (0.5, 1.0, 3.0)[k % 3])
+
+    def test_zero_L(self):
+        d = Design((0.2, 0.7))
+        assert worst_radius(d, 0.0) == 0.0 == radius_via_envelopes(d, 0.0)
+        with pytest.raises(ValidationError, match=r"^fooling pairs need L > 0, got 0\.0$"):
+            fooling_pair(d, 0.0)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan, math.inf])
+    def test_bad_L_keeps_the_envelopes_message(self, L):
+        d = Design((0.5,))
+        with pytest.raises(ValidationError) as via_envelopes:
+            radius_via_envelopes(d, L)
+        with pytest.raises(ValidationError) as direct:
+            worst_radius(d, L)
+        assert str(direct.value) == str(via_envelopes.value)
+        assert str(direct.value).startswith("Lipschitz bound must be finite and >= 0")
 
 
 class TestFoolingPair:
@@ -51,7 +103,7 @@ class TestFoolingPair:
             d = random_design(rng, int(rng.integers(1, 9)))
             L = float(rng.uniform(0.5, 2.0))
             pair = fooling_pair(d, L)
-            assert pair.gap == pytest.approx(2.0 * worst_radius(d, L), rel=1e-14)
+            assert pair.gap == 2.0 * worst_radius(d, L)
 
     def test_members_pass_promise_exactly(self):
         rng = np.random.default_rng(7)
@@ -71,8 +123,8 @@ class TestFoolingPair:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_members_equal_validated_builds(self, seed):
-        # both members adopt their points unvalidated; f_minus carries -0.0
-        # ordinates at the design points
+        # both members are built through pwl(); f_minus carries -0.0
+        # ordinates at the design points, which must survive validation
         rng = np.random.default_rng(800 + seed)
         d = random_design(rng, int(rng.integers(1, 40)))
         pair = fooling_pair(d, float(rng.uniform(0.1, 8.0)))
@@ -102,7 +154,7 @@ class TestFoil:
             d = random_design(rng, int(rng.integers(1, 9)))
             w = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d.n))
             L = float(rng.uniform(0.5, 2.0))
-            assert foil(Quadrature(d, w), L) >= worst_radius(d, L) - 1e-12
+            assert foil(Quadrature(d, w), L) == worst_radius(d, L)
 
 
 class TestQuadratureValidation:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -99,6 +100,35 @@ class TestMeps:
 
     def test_negative_L_exits_2(self, capsys):
         assert run_cli(capsys, "meps", "--L", "-1", "--eps", "0.1")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("meps", "--L", "1e200", "--eps", "1e-100"),
+            ("meps", "--L", "1", "--eps", "5e-324"),
+            ("meps", "--L", "1e308", "--eps", "1e-300"),
+            ("complexity-table", "--L", "1e200", "--eps", "1e-100"),
+            ("complexity-table", "--L", "1", "--eps", "0.1,5e-324"),
+        ],
+    )
+    def test_m_eps_beyond_2_53_exits_4(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err.startswith("capacity exceeded: m(eps) for L=")
+
+    def test_m_eps_beyond_2_53_no_traceback_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qibc", "meps", "--L", "1e200", "--eps", "1e-100"],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith("capacity exceeded:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestComplexityTable:

@@ -153,7 +153,7 @@ class TestNegate:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("promise", [None, Promise(1.5, -2.0, 1.0)], ids=["bare", "promise"])
     def test_equals_validated_build(self, seed, promise):
-        # negate adopts its points unvalidated; they must be what pwl() builds
+        # negate keeps the abscissae and the -0.0 ordinates bit for bit
         pts = list(random_lipschitz_pwl(np.random.default_rng(seed), 1.5).points)
         i = 1 + seed % (len(pts) - 2)
         pts[i] = (pts[i][0], -0.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import qibc.information as information
 from qibc import (
+    CapacityError,
     DataVector,
     Design,
     Envelope,
@@ -373,6 +375,25 @@ class TestNudgesExhausted:
         assert env.upper.points[1:3] == tuple(zip(ts, ys))
 
 
+class TestKinkPulledOntoDesignCone:
+    def test_walked_segment_holds_and_the_kink_stays(self):
+        # the kink lands an ulp left of t2; its segment to t2 fails, so the
+        # kink is pulled onto t2's cone, and the segment from t already
+        # walked still passes with the pulled ordinate
+        ts = (0.7498374010074542, 0.8924835152215899)
+        ys = (-0.7253714707020835, -0.03050710000202772)
+        L = 4.8712464025269435
+        (t, t2), (y, y2) = ts, ys
+        [(xk, yk)] = information._kink(t, y, t2, y2, L)
+        assert xk == math.nextafter(t2, 0.0)
+        assert abs(y2 - yk) > L * (t2 - xk)
+        pulled = information._pull_onto_cone(yk, y2, L * (t2 - xk))
+        assert pulled != yk
+        env = envelopes(Design(ts), DataVector(ys), L)
+        assert env.upper.points[1:4] == ((t, y), (xk, pulled), (t2, y2))
+        assert float_lipschitz_faults(ts, env, L) == []
+
+
 class TestPullOntoCone:
     def test_walks_out_addition_rounding(self):
         # 0.1 + 0.2 rounds up past the bound; one ulp back toward 0.1 passes
@@ -492,6 +513,21 @@ class TestMeps:
         for eps in (0.25, 0.1, 0.03, 0.007):
             m = m_eps(1.0, eps)
             assert worst_radius(optimal_design(m), 1.0) <= eps
+
+    @pytest.mark.parametrize(
+        "L, eps", [(1.0, 5e-324), (1e200, 1e-100), (1e308, 1e-300), (2.0**53, 0.25 - 2**-54)]
+    )
+    def test_beyond_2_53_is_a_capacity_error(self, L, eps):
+        # past 2^53 consecutive integers are not distinct floats, so the
+        # bracket cannot be checked; the refusal must come at once
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"exceeds 2\^53"):
+            m_eps(L, eps)
+        assert time.perf_counter() - start < 1.0
+
+    def test_2_53_itself_still_computed(self):
+        assert m_eps(2.0**53, 0.25) == 2**53
+        assert m_eps(1.0, 2.0**-55) == 2**53
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
