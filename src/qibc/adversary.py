@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .exceptions import ValidationError
 from .functions import FunctionSpec, Promise, exact_integral, negate, pwl
-from .information import Design, _spike
+from .information import Design, _spike, worst_radius
 
 __all__ = ["FoolingPair", "Quadrature", "fooling_pair", "foil"]
 
@@ -67,6 +67,13 @@ class Quadrature:
         return math.fsum(w * v for w, v in zip(self.weights, values))
 
 
+def _fooling_bound(L: float) -> float:
+    L = float(L)
+    if not math.isfinite(L) or L <= 0.0:
+        raise ValidationError(f"fooling pairs need L > 0, got {L!r}")
+    return L
+
+
 def fooling_pair(d: Design, L: float) -> FoolingPair:
     """The extreme pair ``+/- L * min_i |x - t_i|`` for design ``d``.
 
@@ -76,16 +83,12 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
     upper envelope, built from the same breakpoints :func:`envelopes` gives,
     and ``f_minus`` is its :func:`negate`.
     """
-    L = float(L)
-    if not math.isfinite(L) or L <= 0.0:
-        raise ValidationError(f"fooling pairs need L > 0, got {L!r}")
+    L = _fooling_bound(L)
     points = _spike(d, L)
     peak = max(abs(y) for _, y in points)
     promise = Promise(L, -peak, peak) if peak > 0.0 else None
-    f_plus = pwl(points, promise)
-    f_minus = negate(f_plus)
-    gap = exact_integral(f_plus) - exact_integral(f_minus)
-    return FoolingPair(f_plus=f_plus, f_minus=f_minus, gap=gap)
+    f_plus = pwl(points, promise)  # exact_integral(negate(f)) is -exact_integral(f) bitwise
+    return FoolingPair(f_plus=f_plus, f_minus=negate(f_plus), gap=2.0 * exact_integral(f_plus))
 
 
 def foil(q: Quadrature, L: float) -> float:
@@ -94,10 +97,8 @@ def foil(q: Quadrature, L: float) -> float:
     Both fooling-pair members observe as the zero vector, so the rule answers
     ``phi(0) = 0`` on each regardless of weights; the larger deviation of the
     two true integrals from that answer equals ``worst_radius(q.design, L)``.
+    That radius is bitwise the integral of ``f_plus``, and ``f_minus``'s is its negation.
     """
-    pair = fooling_pair(q.design, L)
+    radius = worst_radius(q.design, _fooling_bound(L))
     phi0 = q.apply((0.0,) * q.design.n)
-    return max(
-        abs(exact_integral(pair.f_plus) - phi0),
-        abs(exact_integral(pair.f_minus) - phi0),
-    )
+    return max(abs(radius - phi0), abs(-radius - phi0))

@@ -35,7 +35,7 @@ import numpy as np
 from .exceptions import CapacityError, PremiseViolationError, ValidationError
 from .functions import FunctionSpec, exact_integral
 from .information import m_eps, query_complexity
-from .simulator import AlgorithmSpec, OutcomeDistribution, distribution
+from .simulator import AlgorithmSpec, OutcomeDistribution, _distributions
 
 __all__ = [
     "MASS_THRESHOLD",
@@ -154,11 +154,8 @@ def worst_prob_error(
         raise ValidationError(
             f"{len(truths)} truths for a family of {len(family)} functions"
         )
-    worst = 0.0
-    for f, truth in zip(family, truths):
-        err = local_error(distribution(a, f), truth)
-        worst = max(worst, err)
-    return worst
+    dists = _distributions(a, family)  # the circuit compiles once for the whole family
+    return max(0.0, *(local_error(d, truth) for d, truth in zip(dists, truths)))
 
 
 def _sorted_entries(dist: OutcomeDistribution) -> list[tuple[float, float, int]]:

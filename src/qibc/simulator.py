@@ -43,12 +43,14 @@ states stay immutable at the API. A dense vector of ``2^nu`` amplitudes caps
 distribution, and it takes one of two paths. When every gate is X, ``mcx``,
 swap, phase or cphase (every midpoint circuit and bound fixture), the circuit
 is a classical reversible computation: ``|0...0>`` stays one basis state times
-a phase. A phase never changes an outcome probability, so the state is one
-int label: X, ``mcx`` and swap flip its bits, phase and cphase leave it alone,
-and a query XORs ``beta(f(tau(j)))`` into the value bits. Any other circuit
-runs on the dense vector, ``measure(run(a, f), a)``, which is also the oracle
-the label path is tested against. Both paths keep the 20-qubit cap and raise
-the same errors.
+a phase, which never changes an outcome probability, so the state is one int
+label. Its layers are compiled once per algorithm into ``(control_mask,
+flip_mask)`` pairs: X is ``(0, bit)``, ``mcx`` its controls and target, swap
+three controlled flips, and phase and cphase drop out. A query XORs
+``beta(f(tau(j)))`` into the value bits, and a function family (as in
+``bounds.worst_prob_error``) shares one compile. Any other circuit runs on the
+dense vector, ``measure(run(a, f), a)``, the label path's test oracle. Both
+paths keep the 20-qubit cap and raise the same errors.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -568,30 +570,44 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
     circuit runs dense, ``measure(run(a, f), a)``. Both paths raise the same
     errors.
     """
-    if any(g.gate not in _LABEL_KINDS for layer in a.layers for g in layer):
-        return measure(run(a, f), a)
-    codes = _query_codes(a, f)
-    nu, q = a.nu, a.query
-    label = 0
-    for i, layer in enumerate(a.layers):
-        for g in layer:  # phase and cphase only multiply the amplitude: no-ops here
-            bits = [1 << (nu - 1 - t) for t in g.targets]
+    return next(_distributions(a, (f,)))
+
+
+def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
+    """Each layer as ``(control_mask, flip_mask)`` pairs: flip where all controls read 1."""
+    layers: list[list[tuple[int, int]]] = [[] for _ in a.layers]
+    for ops, layer in zip(layers, a.layers):
+        for g in layer:
+            *cs, x = [1 << (a.nu - 1 - t) for t in g.targets]
             if g.gate == "swap":
-                if bool(label & bits[0]) != bool(label & bits[1]):
-                    label ^= bits[0] | bits[1]
-            elif g.gate in ("X", "mcx"):  # flip the last target where the others read 1
-                if all(label & b for b in bits[:-1]):
-                    label ^= bits[-1]
-        if i < a.num_queries:  # index j is the top m' bits; XOR its code into the next m''
-            assert q is not None
-            j = label >> (nu - q.m_prime)
-            label ^= codes[j] << (nu - q.m_prime - q.m_double_prime)
-    hit = 0
-    for t in a.measure:
-        hit = (hit << 1) | (label >> (nu - 1 - t) & 1)
-    return OutcomeDistribution(entries=tuple(
-        (k, 1.0 if k == hit else 0.0, a.decode_outcome(k)) for k in range(a.outcome_count)
-    ))
+                ops += [(cs[0], x), (x, cs[0]), (cs[0], x)]
+            elif g.gate in ("X", "mcx"):
+                ops.append((sum(cs), x))
+    return layers
+
+
+def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeDistribution]:
+    """:func:`distribution` of ``a`` on each member of ``family`` in turn."""
+    if any(g.gate not in _LABEL_KINDS for layer in a.layers for g in layer):
+        yield from (measure(run(a, f), a) for f in family)
+        return
+    top = a.nu - a.query.m_prime if a.query else 0  # index j is the label's top m' bits
+    low = top - a.query.m_double_prime if a.query else 0  # and its code XORs into the next m''
+    for n, f in enumerate(family):
+        codes = _query_codes(a, f)  # the cap check precedes the compile
+        if n == 0:
+            layers, M = _compile(a), a.outcome_count
+            values = [a.decode.phi(k, M) for k in range(M)]  # a.decode_outcome(k), bitwise
+        label = 0
+        for i, layer in enumerate(layers):
+            for c, x in layer:
+                if label & c == c:
+                    label ^= x
+            if i < a.num_queries:
+                label ^= codes[label >> top] << low
+        hit = int("".join(str(label >> (a.nu - 1 - t) & 1) for t in a.measure), 2)
+        entries = ((k, 1.0 if k == hit else 0.0, phi) for k, phi in enumerate(values))
+        yield OutcomeDistribution(entries=tuple(entries))
 
 
 # --------------------------------------------------------------------------

@@ -157,6 +157,38 @@ class TestFoil:
             assert foil(Quadrature(d, w), L) == worst_radius(d, L)
 
 
+class TestFoilAgainstFoolingPair:
+    """``foil`` integrates the spike once; the fooling-pair formula is its oracle."""
+
+    @staticmethod
+    def check(q, L):
+        pair = fooling_pair(q.design, L)
+        phi0 = q.apply((0.0,) * q.design.n)
+        want = max(
+            abs(exact_integral(pair.f_plus) - phi0),
+            abs(exact_integral(pair.f_minus) - phi0),
+        )
+        assert foil(q, L).hex() == want.hex()
+
+    def test_optimal_designs(self):
+        for n in range(1, 301):
+            self.check(Quadrature(optimal_design(n), (1.0 / n,) * n), 1.0)
+
+    def test_seeded_random_quadratures(self):
+        rng = np.random.default_rng(1100)
+        for _ in range(200):
+            make = random_design if rng.random() < 0.5 else ulp_spaced_design
+            d = make(rng, int(rng.integers(1, 40)))
+            w = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=d.n))
+            self.check(Quadrature(d, w), float(rng.uniform(0.1, 8.0)))
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_L_keeps_the_fooling_pair_message(self, L):
+        q = Quadrature(Design((0.5,)), (1.0,))
+        with pytest.raises(ValidationError, match=r"^fooling pairs need L > 0, got "):
+            foil(q, L)
+
+
 class TestQuadratureValidation:
     def test_weight_length_mismatch(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qibc.simulator
 from qibc import (
     CapacityError,
     Design,
@@ -17,6 +18,8 @@ from qibc import (
     build_bound_fixture,
     build_reversible_midpoint,
     constant,
+    distribution,
+    exact_integral,
     extract,
     foil,
     local_error,
@@ -111,6 +114,43 @@ class TestWorstProbError:
         assert worst_prob_error(alg, [constant(0.5)], truths=[0.7]) == pytest.approx(
             0.2, abs=1e-12
         )
+
+
+class TestWorstProbErrorCompilesOnce:
+    """``worst_prob_error`` runs the whole family from one compile of the circuit."""
+
+    @staticmethod
+    def count_compiles(monkeypatch):
+        calls = []
+        compile_once = qibc.simulator._compile
+
+        def counting(a):
+            calls.append(a)
+            return compile_once(a)
+
+        monkeypatch.setattr(qibc.simulator, "_compile", counting)
+        return calls
+
+    def test_one_compile_for_the_family(self, monkeypatch):
+        fx = build_bound_fixture(1 / 40)
+        assert len(fx.family) == 4
+        calls = self.count_compiles(monkeypatch)
+        assert worst_prob_error(fx.algorithm, fx.family) == 1 / 64
+        assert calls == [fx.algorithm]
+
+    def test_capacity_error_before_compiling(self, monkeypatch):
+        big = midpoint_algorithm(10, 1, 0.0, 1.0)
+        calls = self.count_compiles(monkeypatch)
+        with pytest.raises(CapacityError):
+            worst_prob_error(big, [constant(0.5)] * 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 40, 1 / 400, 1e-3])
+    def test_equals_per_member_distributions(self, eps):
+        fx = build_bound_fixture(eps)
+        a = fx.algorithm
+        want = max(local_error(distribution(a, f), exact_integral(f)) for f in fx.family)
+        assert worst_prob_error(a, fx.family).hex() == want.hex()
 
 
 class TestWorErrorLower:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qibc.simulator
 from qibc import (
@@ -41,6 +43,7 @@ from qibc import (
     query_table,
     run,
     tau_point,
+    verify_bound,
     zero_state,
 )
 from qibc.serialize import dumps_json
@@ -469,6 +472,63 @@ class TestLabelPath:
         assert got == pytest.approx([p for _, p, _ in _dense(a).entries], abs=1e-12)
 
 
+@st.composite
+def label_circuits(draw):
+    """A label-kind circuit (nu <= 8, T <= 3) and a pwl function to query."""
+    nu = draw(st.integers(2, 8))
+    T = draw(st.integers(0, 3))
+    m1 = draw(st.integers(1, nu - 1))
+    m2 = draw(st.integers(1, nu - m1))
+    q = QuerySpec(m1, m2, -1.0, 1.0, draw(st.sampled_from(["midpoint", "left-endpoint"])))
+    qubits = st.permutations(range(nu))
+    angle = st.floats(-6.0, 6.0)
+
+    def gate():
+        kind = draw(st.sampled_from(LABEL_GATE_KINDS))
+        if kind == "X":
+            return GateOp("X", (draw(st.integers(0, nu - 1)),))
+        if kind == "mcx":  # 1-4 controls, the flipped qubit last
+            return GateOp("mcx", tuple(draw(qubits)[: draw(st.integers(1, min(4, nu - 1))) + 1]))
+        if kind == "swap":
+            return GateOp("swap", tuple(draw(qubits)[:2]))
+        if kind == "phase":
+            return GateOp("phase", (draw(st.integers(0, nu - 1)),), theta=draw(angle))
+        k = draw(st.integers(2, min(4, nu)))
+        return GateOp("cphase", tuple(draw(qubits)[:k]), theta=draw(angle))
+
+    layers = tuple(
+        tuple(gate() for _ in range(draw(st.integers(0, 10)))) for _ in range(T + 1)
+    )
+    meas = tuple(draw(qubits)[: draw(st.integers(1, min(nu, 6)))])
+    a = AlgorithmSpec(nu, q if T or draw(st.booleans()) else None, layers, meas,
+                      AffineDecode(0.25, -1.0))
+    ys = draw(st.lists(st.floats(-1.25, 1.25), min_size=2, max_size=6))
+    f = pwl(tuple((i / (len(ys) - 1), y) for i, y in enumerate(ys)))
+    return a, f
+
+
+class TestLabelPathProperty:
+    """Compiled masks against the dense oracle: swaps inside controlled runs included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_circuits())
+    def test_distribution_equals_dense(self, case):
+        a, f = case
+        got, want = distribution(a, f), _dense(a, f)
+        assert [(j, phi) for j, _, phi in got.entries] == [
+            (j, phi) for j, _, phi in want.entries]
+        assert max(abs(g[1] - w[1]) for g, w in zip(got.entries, want.entries)) <= 1e-12
+
+    @pytest.mark.parametrize("start", [(), (0,), (1,), (0, 1)], ids=str)
+    def test_swap_under_every_input(self, start):
+        # a swap between two controlled flips: each ones-pattern on (0, 1) in turn
+        layer = tuple(GateOp("X", (t,)) for t in start) + (
+            GateOp("mcx", (0, 2)), GateOp("swap", (0, 1)), GateOp("mcx", (1, 2, 0)),
+        )
+        a = AlgorithmSpec(3, None, (layer,), (0, 1, 2), AffineDecode(1.0, 0.0))
+        assert distribution(a) == _dense(a)
+
+
 def _no_dense(*args, **kwargs):
     raise AssertionError("the label path ran the dense simulator")
 
@@ -519,11 +579,19 @@ class TestDistributionDispatch:
         with pytest.raises(CapacityError):
             distribution(dense)
 
+    def test_verify_bound_capacity_message(self):
+        # the cap check runs before any compile work and keeps its text
+        big = midpoint_algorithm(10, 1, 0.0, 1.0)
+        with pytest.raises(CapacityError, match=r"^algorithm needs nu=22 qubits, cap is 20$"):
+            verify_bound(big, [RAMP], L=1.0, eps=1 / 40)
+
     def test_queries_need_a_function_on_both_paths(self):
         label = midpoint_algorithm(1, 2, 0.0, 1.0)
         dense = AlgorithmSpec(2, Q11, ((GateOp("H", (0,)),), ()), (0, 1), AffineDecode(1.0, 0.0))
-        for a in (label, dense):
-            with pytest.raises(ValidationError):
+        for a, T in ((label, 4), (dense, 1)):
+            assert a.num_queries == T
+            with pytest.raises(ValidationError,
+                               match=rf"^algorithm makes {T} queries; a function is required$"):
                 distribution(a)
 
 
