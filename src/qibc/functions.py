@@ -28,8 +28,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable
+
+import numpy as np
 
 from .exceptions import DomainError, ValidationError
 from .serialize import check_keys
@@ -102,20 +105,20 @@ class FunctionSpec:
         if self.family == "pwl":
             if self.points is None or self.value is not None or self.coefficients is not None:
                 raise ValidationError("pwl functions take exactly the 'points' parameter")
-            pts = tuple(
-                (float(x), float(y)) for x, y in (tuple(p) for p in self.points)
-            )
+            pts = tuple([(float(x), float(y)) for x, y in self.points])
             if len(pts) < 2:
                 raise ValidationError("pwl needs at least 2 breakpoints")
-            for x, y in pts:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
-            xs = [x for x, _ in pts]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
+            arr = _rows(pts)
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                x, y = pts[int(np.argmin(finite))]
+                raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
+            if (arr[1:, 0] <= arr[:-1, 0]).any():
                 raise ValidationError("pwl breakpoint x-values must be strictly increasing")
-            if xs[0] != 0.0 or xs[-1] != 1.0:
+            (x0, _), (x1, _) = pts[0], pts[-1]
+            if x0 != 0.0 or x1 != 1.0:
                 raise ValidationError(
-                    f"pwl breakpoints must span [0, 1] exactly, got [{xs[0]}, {xs[-1]}]"
+                    f"pwl breakpoints must span [0, 1] exactly, got [{x0}, {x1}]"
                 )
             object.__setattr__(self, "points", pts)
         elif self.family == "constant":
@@ -144,7 +147,7 @@ class FunctionSpec:
 
 def pwl(points: Iterable[tuple[float, float]], promise: Promise | None = None) -> FunctionSpec:
     """Piecewise-linear function through ``points``."""
-    return FunctionSpec(family="pwl", points=tuple(tuple(p) for p in points), promise=promise)
+    return FunctionSpec(family="pwl", points=points, promise=promise)
 
 
 def constant(value: float, promise: Promise | None = None) -> FunctionSpec:
@@ -195,31 +198,24 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     return math.fsum(terms)
 
 
-def _eval_sorted(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
-    """``[eval(f, x) for x in xs]``, bit for bit, for a pwl ``f`` and ascending ``xs`` in [0, 1].
+def _rows(points: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Breakpoints as an ``(n, 2)`` float array."""
+    return np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
 
-    One segment pointer moves forward through the breakpoints instead of a
-    bisection per point, so the walk is O(len(xs) + len(f.points)). It picks
-    the segment ``eval`` picks and uses the same expressions.
+
+def _eval_pwl(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``eval`` of the pwl with breakpoint rows ``points`` at each of ``xs``, bit for bit.
+
+    It picks the segment ``eval`` picks, by ``searchsorted`` instead of
+    ``bisect_right``, returns the stored ordinate at a breakpoint and
+    interpolates with the same expression elsewhere.
     """
-    pts = f.points
-    assert pts is not None
-    last = len(pts) - 2
-    i = 0
-    (x0, y0), (x1, y1) = pts[0], pts[1]
-    out = []
-    for x in xs:
-        while i < last and x1 <= x:
-            i += 1
-            x0, y0 = x1, y1
-            x1, y1 = pts[i + 1]
-        if x == x0:
-            out.append(y0)
-        elif x == x1:
-            out.append(y1)
-        else:
-            out.append(y0 + (y1 - y0) * ((x - x0) / (x1 - x0)))
-    return out
+    px, py = points[:, 0], points[:, 1]
+    i = np.minimum(np.searchsorted(px, xs, side="right") - 1, len(px) - 2)
+    x0, y0, x1, y1 = px[i], py[i], px[i + 1], py[i + 1]
+    return np.where(
+        xs == x0, y0, np.where(xs == x1, y1, y0 + (y1 - y0) * ((xs - x0) / (x1 - x0)))
+    )
 
 
 def eval_many(f: FunctionSpec, xs: Iterable[float]) -> list[float]:

@@ -25,16 +25,23 @@ holds in float arithmetic on every segment with a non-design end. A kink
 that no float ordinate can put on both of its cones is dropped, leaving the
 chord between two design points, which holds to the consistency tolerance.
 The effect on integrals is a few ulps at most.
+
+The per-point work runs as numpy array passes: the consistency check, the
+kinks and float checks of every design gap, and the ``Envelope`` check.
+Elementwise ``+ - * /`` and ``nextafter`` are the IEEE operations of scalar
+code, so the outputs are bitwise those of a gap-by-gap loop. Only the few
+gaps whose float check fails run the scalar repair steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
 
 from .exceptions import CapacityError, InfeasibleDataError, ValidationError
-from .functions import FunctionSpec, _eval_sorted, eval as feval, exact_integral, pwl
+from .functions import FunctionSpec, _eval_pwl, _rows, eval as feval, exact_integral, pwl
 
 __all__ = [
     "Design",
@@ -103,8 +110,9 @@ class Envelope:
 
     Construction checks ``lower <= upper + 1e-12`` at every breakpoint of
     either member, which suffices between breakpoints since both are linear
-    there. Both members are evaluated over the sorted union of breakpoints in
-    one forward walk each, with the values ``eval`` would give.
+    there. In array passes, each member's breakpoints are checked against the
+    other member at those abscissae, valued as ``eval`` would; the smaller of
+    the two first failures is the first over the merged breakpoints.
     """
 
     upper: FunctionSpec
@@ -113,13 +121,16 @@ class Envelope:
     def __post_init__(self) -> None:
         if self.upper.family != "pwl" or self.lower.family != "pwl":
             raise ValidationError("envelope members must be piecewise-linear")
-        xs = sorted(
-            {x for x, _ in self.upper.points} | {x for x, _ in self.lower.points}
-        )
-        los, his = _eval_sorted(self.lower, xs), _eval_sorted(self.upper, xs)
-        for x, lo, hi in zip(xs, los, his):
-            if lo > hi + CONSISTENCY_TOL:
-                raise ValidationError(f"lower envelope exceeds upper at x={x}")
+        up, low = _rows(self.upper.points), _rows(self.lower.points)
+        bad_up = _eval_pwl(low, up[:, 0]) > up[:, 1] + CONSISTENCY_TOL
+        bad_low = low[:, 1] > _eval_pwl(up, low[:, 0]) + CONSISTENCY_TOL
+        first = [
+            xs[np.argmax(bad)]
+            for xs, bad in ((up[:, 0], bad_up), (low[:, 0], bad_low))
+            if bad.any()
+        ]
+        if first:  # on a tie (0.0 and -0.0) min keeps the upper member's abscissa
+            raise ValidationError(f"lower envelope exceeds upper at x={float(min(first))}")
 
 
 @dataclass(frozen=True)
@@ -147,60 +158,135 @@ def observe(f: FunctionSpec, d: Design) -> DataVector:
 
 
 def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> None:
-    """Pairwise test ``|y_i - y_j| <= L (t_j - t_i) + tol`` in one pass.
+    """Pairwise test ``|y_i - y_j| <= L (t_j - t_i) + tol`` in a few array passes.
 
     A pair ``i < j`` fails iff ``y_i + L t_i > y_j + L t_j + tol`` or
     ``y_i - L t_i < y_j - L t_j - tol``, so each ``j`` is tested against the
-    running maximum of the first key and the running minimum of the second.
-    Rounding can make those the wrong partners only within a few ulps of the
-    edge; within ``1e-14 (L + max|y|)`` of it, every ``i < j`` is rescanned.
+    first index of the prefix maximum of the first key and of the prefix
+    minimum of the second. Rounding can make those the wrong partners only
+    within a few ulps of the edge; each ``j`` flagged within
+    ``1e-14 (L + max|y|)`` of it is rescanned against every ``i < j``, in
+    increasing ``j``, and the first failing pair is reported.
     """
-    near = CONSISTENCY_TOL - 1e-14 * (L + max(map(abs, ys)))
-    hi = lo = 0
-    for j in range(1, len(ts)):
-        if any(abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + near for i in (hi, lo)):
-            for i in range(j):
-                if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + CONSISTENCY_TOL:
-                    raise InfeasibleDataError(
-                        f"data not Lipschitz-{L} consistent at points "
-                        f"t={ts[i]}, t={ts[j]}: |{ys[i]} - {ys[j]}| > L*dt"
-                    )
-        if ys[j] + L * ts[j] > ys[hi] + L * ts[hi]:
-            hi = j
-        if ys[j] - L * ts[j] < ys[lo] - L * ts[lo]:
-            lo = j
+    t, y = np.array(ts), np.array(ys)
+    near = CONSISTENCY_TOL - 1e-14 * (L + float(np.abs(y).max()))
+    flagged = np.zeros(len(ts) - 1, dtype=bool)
+    for key in (y + L * t, L * t - y):  # the second is -(y - L t), bit for bit
+        i = _prefix_argmax(key)[:-1]
+        flagged |= np.abs(y[i] - y[1:]) > L * (t[1:] - t[i]) + near
+    for j in (np.flatnonzero(flagged) + 1).tolist():
+        for i in range(j):
+            if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + CONSISTENCY_TOL:
+                raise InfeasibleDataError(
+                    f"data not Lipschitz-{L} consistent at points "
+                    f"t={ts[i]}, t={ts[j]}: |{ys[i]} - {ys[j]}| > L*dt"
+                )
+
+
+def _prefix_argmax(key: np.ndarray) -> np.ndarray:
+    """For each ``j``, the first index of the maximum of ``key[:j + 1]``."""
+    idx = np.arange(len(key))
+    idx[1:][key[1:] <= np.maximum.accumulate(key)[:-1]] = 0
+    return np.maximum.accumulate(idx)
 
 
 def _upper_breakpoints(
-    ts: tuple[float, ...], ys: tuple[float, ...], L: float
-) -> list[tuple[float, float]]:
-    """Breakpoints ``(x, y)`` of min_i (y_i + L|x - t_i|), for ``L > 0``.
+    t: np.ndarray, y: np.ndarray, L: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoint abscissae and ordinates of min_i (y_i + L|x - t_i|), for ``L > 0``.
 
     With consistent data only adjacent cones bind on each gap: the candidate
     lines of equal slope are totally ordered, and consistency forces the line
-    through the nearer design point to be the lowest. Hence the kinks of
-    :func:`_gap_kinks` on each gap, plus boundary pieces rising from ``t_1``
-    back to 0 and from ``t_n`` on to 1, their far ordinates pulled onto the
-    cone so that ``|dy| <= L*dx`` holds in floats.
+    through the nearer design point to be the lowest. Hence the cone
+    intersection on each gap, plus boundary pieces rising from ``t_1`` back
+    to 0 and from ``t_n`` on to 1, their far ordinates pulled onto the cone
+    so that ``|dy| <= L*dx`` holds in floats.
+
+    The peak ordinate comes from the symmetric formula
+    ``(y + y2)/2 + L(t2 - t)/2`` rather than from evaluating a cone at the
+    rounded abscissa, whose ``L * ulp(x)`` error can be worth many ulps of a
+    shallow envelope. When the intersection abscissa is representable the
+    peak is a single breakpoint. Otherwise no single float abscissa admits
+    the full ordinate under the float check ``|dy| <= L dx`` (the two cone
+    gaps sum to exactly ``L (t2 - t)``, so the feasible window has zero
+    width), and sagging the peak until the check holds costs
+    ``O(L ulp(x) gap)`` of area. Instead the peak is straddled with one
+    breakpoint on each cone an ulp apart; the clipped sliver costs only
+    ``O(L ulp(x)^2)``.
+
+    One array pass computes, for every gap at once, the kink, the straddle
+    pair and the float check of every segment they make. A gap whose checks
+    pass emits its breakpoints directly; only the few that fail go through
+    :func:`_repaired_kinks` and the walk of :func:`_gap_kinks`.
     """
-    bps: list[tuple[float, float]] = []
-    if ts[0] > 0.0:
-        bound = L * ts[0]
-        bps.append((0.0, _pull_onto_cone(ys[0] + bound, ys[0], bound)))
-    for t, y, t2, y2 in zip(ts, ys, ts[1:], ys[1:]):
-        bps.append((t, y))
-        bps += _gap_kinks(t, y, t2, y2, L)
-    bps.append((ts[-1], ys[-1]))
-    if ts[-1] < 1.0:
-        bound = L * (1.0 - ts[-1])
-        bps.append((1.0, _pull_onto_cone(ys[-1] + bound, ys[-1], bound)))
-    return bps
+    t1, y1, t2, y2 = t[:-1], y[:-1], t[1:], y[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # masked by ``inside`` below
+        xk = (y2 - y1) / (2.0 * L) + (t1 + t2) / 2.0
+        yk = (y1 + y2) / 2.0 + L * (t2 - t1) / 2.0
+        lk = L * (xk - t1)
+        single = (np.abs(yk - y1) <= lk) & (np.abs(y2 - yk) <= L * (t2 - xk))
+        # left cone already covers its gap at xk, so the true intersection
+        # sits at or left of xk: bracket it from the left
+        left = lk >= np.abs(yk - y1)
+        xl = np.where(left, np.nextafter(xk, t1), xk)
+        xr = np.where(left, xk, np.nextafter(xk, t2))
+        lb, rb, mid = L * (xl - t1), L * (t2 - xr), L * (xr - xl)
+        yl, yr = y1 + lb, y2 + rb
+        straddle = (
+            (t1 < xl) & (xr < t2) & (np.abs(yl - y1) <= lb)
+            & (np.abs(yr - yl) <= mid) & (np.abs(y2 - yr) <= rb)
+        )
+    inside = (t1 < xk) & (xk < t2)
+    kinks = np.where(single, 1, np.where(straddle, 2, 0)) * inside
+    xs = np.stack((t1, np.where(single, xk, xl), xr), axis=1)
+    vs = np.stack((y1, np.where(single, yk, yl), yr), axis=1)
+    failed = np.flatnonzero(inside & ~single & ~straddle)
+    rows = zip(*(a[failed].tolist() for a in (t1, y1, t2, y2, xk, xl, xr, yl, yr, lb, rb, mid)))
+    for g, row in zip(failed.tolist(), rows):
+        repaired = _gap_kinks(*row[:4], L, _repaired_kinks(L, *row))
+        kinks[g] = len(repaired)
+        for k, (x, v) in enumerate(repaired, 1):
+            xs[g, k], vs[g, k] = x, v
+    keep = np.arange(3) <= kinks[:, None]
+    b0, b1 = L * t[0], L * (1.0 - t[-1])
+    xs = np.concatenate(([0.0], xs[keep], t[-1:], [1.0]))
+    vs = np.concatenate((
+        [_pull_onto_cone(y[0] + b0, y[0], b0)], vs[keep], y[-1:],
+        [_pull_onto_cone(y[-1] + b1, y[-1], b1)],
+    ))
+    ends = slice(0 if t[0] > 0.0 else 1, None if t[-1] < 1.0 else -1)
+    return xs[ends], vs[ends]
+
+
+def _repaired_kinks(
+    L: float, t: float, y: float, t2: float, y2: float, xk: float,
+    xl: float, xr: float, yl: float, yr: float, lb: float, rb: float, mid: float,
+) -> list[tuple[float, float]]:
+    """Kinks of one gap whose float checks failed in the array pass.
+
+    Starts from that pass's values: the straddle ordinates are pulled onto
+    their cones and nudged; if no pair fits, or the straddle leaves the gap,
+    the single kink is sagged.
+    """
+    if t < xl and xr < t2:
+        yl = _pull_onto_cone(yl, y, lb)
+        yr = _pull_onto_cone(yr, y2, rb)
+        for _ in range(_MAX_NUDGES):
+            if abs(yr - yl) <= mid:
+                return [(xl, yl), (xr, yr)]
+            # lowering the higher end shrinks its own cone gap too, so the
+            # outer segment checks stay satisfied
+            if yl > yr:
+                yl = math.nextafter(yl, yr)
+            else:
+                yr = math.nextafter(yr, yl)
+    return [(xk, _sagged_ordinate(t, y, t2, y2, L, xk))]
 
 
 def _gap_kinks(
-    t: float, y: float, t2: float, y2: float, L: float
+    t: float, y: float, t2: float, y2: float, L: float, kinks: list[tuple[float, float]]
 ) -> list[tuple[float, float]]:
-    """Kinks over one design gap, every segment passing ``|dy| <= L*dx`` in floats.
+    """``kinks`` over one design gap, every segment passing ``|dy| <= L*dx`` in floats.
 
     Walking left to right, a failing segment moves its kink end onto the cone
     of its other end; kinks of an upper envelope are local maxima, so this
@@ -210,7 +296,7 @@ def _gap_kinks(
     ``L``, so no float ordinate lies on both cones. Then the kinks are
     dropped and the gap is that chord, which the consistency check bounded.
     """
-    chain = [(t, y), *_kink(t, y, t2, y2, L), (t2, y2)]
+    chain = [(t, y), *kinks, (t2, y2)]
     last = len(chain) - 1
     for i in range(last):
         (x0, y0), (x1, y1) = chain[i], chain[i + 1]
@@ -226,54 +312,6 @@ def _gap_kinks(
                 return []
             chain[i] = (x0, y0)
     return chain[1:-1]
-
-
-def _kink(
-    t: float, y: float, t2: float, y2: float, L: float
-) -> list[tuple[float, float]]:
-    """Float breakpoints for the cone intersection over one design gap.
-
-    The peak ordinate comes from the symmetric formula
-    ``(y + y2)/2 + L(t2 - t)/2`` rather than from evaluating a cone at the
-    rounded abscissa, whose ``L * ulp(x)`` error can be worth many ulps of a
-    shallow envelope. When the intersection abscissa is representable the
-    peak is a single breakpoint. Otherwise no single float abscissa admits
-    the full ordinate under the float check ``|dy| <= L dx`` (the two cone
-    gaps sum to exactly ``L (t2 - t)``, so the feasible window has zero
-    width), and sagging the peak until the check holds costs
-    ``O(L ulp(x) gap)`` of area. Instead the peak is straddled with one
-    breakpoint on each cone an ulp apart; the clipped sliver costs only
-    ``O(L ulp(x)^2)``.
-    """
-    xk = (y2 - y) / (2.0 * L) + (t + t2) / 2.0
-    if not (t < xk < t2):
-        return []
-    yk = (y + y2) / 2.0 + L * (t2 - t) / 2.0
-    if abs(yk - y) <= L * (xk - t) and abs(y2 - yk) <= L * (t2 - xk):
-        return [(xk, yk)]
-    if L * (xk - t) >= abs(yk - y):
-        # left cone already covers its gap at xk, so the true intersection
-        # sits at or left of xk: bracket it from the left
-        xl, xr = math.nextafter(xk, t), xk
-    else:
-        xl, xr = xk, math.nextafter(xk, t2)
-    if not (t < xl and xr < t2):
-        return [(xk, _sagged_ordinate(t, y, t2, y2, L, xk))]
-    lb = L * (xl - t)
-    rb = L * (t2 - xr)
-    yl = _pull_onto_cone(y + lb, y, lb)
-    yr = _pull_onto_cone(y2 + rb, y2, rb)
-    mid = L * (xr - xl)
-    for _ in range(_MAX_NUDGES):
-        if abs(yr - yl) <= mid:
-            return [(xl, yl), (xr, yr)]
-        # lowering the higher end shrinks its own cone gap too, so the outer
-        # segment checks stay satisfied
-        if yl > yr:
-            yl = math.nextafter(yl, yr)
-        else:
-            yr = math.nextafter(yr, yl)
-    return [(xk, _sagged_ordinate(t, y, t2, y2, L, xk))]
 
 
 def _sagged_ordinate(
@@ -326,9 +364,11 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
             raise InfeasibleDataError("L = 0 requires exactly constant data")
         flat = pwl([(0.0, ys[0]), (1.0, ys[0])])
         return Envelope(upper=flat, lower=flat)
-    upper = pwl(_upper_breakpoints(ts, ys, L))
-    neg_ys = tuple(-v for v in ys)
-    lower = pwl([(x, -v) for x, v in _upper_breakpoints(ts, neg_ys, L)])
+    t, y = np.array(ts), np.array(ys)
+    xs, vs = _upper_breakpoints(t, y, L)
+    upper = pwl(zip(xs.tolist(), vs.tolist()))
+    xs, vs = _upper_breakpoints(t, -y, L)
+    lower = pwl(zip(xs.tolist(), (-vs).tolist()))
     return Envelope(upper=upper, lower=lower)
 
 
@@ -357,7 +397,8 @@ def _spike(d: Design, L: float) -> list[tuple[float, float]]:
     Zero data is consistent and its lower envelope is this spike's mirror, so
     neither needs checking.
     """
-    return _upper_breakpoints(d.points, (0.0,) * d.n, L)
+    xs, vs = _upper_breakpoints(np.array(d.points), np.zeros(d.n), L)
+    return list(zip(xs.tolist(), vs.tolist()))
 
 
 def worst_radius(d: Design, L: float) -> float:

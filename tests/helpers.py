@@ -3,7 +3,10 @@
 Everything here is deliberately written *differently* from the library code it
 checks (Riemann sums instead of exact breakpoint integration, brute-force
 subset scans instead of greedy prefixes, all-pairs loops instead of one-pass
-checks) so that agreement is evidence, not tautology.
+checks) so that agreement is evidence, not tautology. The scalar ladder
+(``upper_breakpoints_scalar`` with its gap helpers, and
+``check_consistency_scalar``) is the exception: it is the gap-by-gap loop
+that the library's array pass replaced, kept as that pass's bitwise oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from qibc import (
     Envelope,
     FunctionSpec,
     GateOp,
+    InfeasibleDataError,
     OutcomeDistribution,
     Promise,
     envelopes,
@@ -73,6 +77,139 @@ def pairwise_consistent(ts: tuple[float, ...], ys: tuple[float, ...], L: float) 
             if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + 1e-12:
                 return False
     return True
+
+
+def check_consistency_scalar(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> None:
+    """The one-pass consistency check as a scalar loop, with the library's message.
+
+    Each ``j`` is tested against the running first argmax of ``y + L t`` and
+    first argmin of ``y - L t``; within ``1e-14 (L + max|y|)`` of the
+    tolerance edge every ``i < j`` is rescanned and the first failing pair
+    raises ``InfeasibleDataError``.
+    """
+    near = 1e-12 - 1e-14 * (L + max(map(abs, ys)))
+    hi = lo = 0
+    for j in range(1, len(ts)):
+        if any(abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + near for i in (hi, lo)):
+            for i in range(j):
+                if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + 1e-12:
+                    raise InfeasibleDataError(
+                        f"data not Lipschitz-{L} consistent at points "
+                        f"t={ts[i]}, t={ts[j]}: |{ys[i]} - {ys[j]}| > L*dt"
+                    )
+        if ys[j] + L * ts[j] > ys[hi] + L * ts[hi]:
+            hi = j
+        if ys[j] - L * ts[j] < ys[lo] - L * ts[lo]:
+            lo = j
+
+
+def upper_breakpoints_scalar(
+    ts: tuple[float, ...], ys: tuple[float, ...], L: float
+) -> list[tuple[float, float]]:
+    """Breakpoints of min_i (y_i + L|x - t_i|), one design gap at a time.
+
+    The scalar ladder the library's array pass must match bit for bit: per
+    gap the cone intersection, its one-ulp straddle with nudges, the sagged
+    single kink, then the float-Lipschitz walk that pulls kinks onto the
+    cones or drops them; plus the boundary pieces out to 0 and 1.
+    """
+    bps: list[tuple[float, float]] = []
+    if ts[0] > 0.0:
+        bound = L * ts[0]
+        bps.append((0.0, pull_onto_cone_scalar(ys[0] + bound, ys[0], bound)))
+    for t, y, t2, y2 in zip(ts, ys, ts[1:], ys[1:]):
+        bps.append((t, y))
+        bps += gap_kinks_scalar(t, y, t2, y2, L)
+    bps.append((ts[-1], ys[-1]))
+    if ts[-1] < 1.0:
+        bound = L * (1.0 - ts[-1])
+        bps.append((1.0, pull_onto_cone_scalar(ys[-1] + bound, ys[-1], bound)))
+    return bps
+
+
+def gap_kinks_scalar(
+    t: float, y: float, t2: float, y2: float, L: float
+) -> list[tuple[float, float]]:
+    """Kinks over one gap after the left-to-right float-Lipschitz walk."""
+    chain = [(t, y), *kink_scalar(t, y, t2, y2, L), (t2, y2)]
+    last = len(chain) - 1
+    for i in range(last):
+        (x0, y0), (x1, y1) = chain[i], chain[i + 1]
+        bound = L * (x1 - x0)
+        if abs(y1 - y0) <= bound:
+            continue
+        if i + 1 < last:
+            chain[i + 1] = (x1, pull_onto_cone_scalar(y1, y0, bound))
+        elif i > 0:
+            y0 = pull_onto_cone_scalar(y0, y1, bound)
+            xp, yp = chain[i - 1]
+            if abs(y0 - yp) > L * (x0 - xp):
+                return []
+            chain[i] = (x0, y0)
+    return chain[1:-1]
+
+
+def kink_scalar(
+    t: float, y: float, t2: float, y2: float, L: float
+) -> list[tuple[float, float]]:
+    """The cone intersection over one gap: a single kink, a one-ulp straddle
+    pair (nudged at most 8 times) or a sagged single kink."""
+    xk = (y2 - y) / (2.0 * L) + (t + t2) / 2.0
+    if not (t < xk < t2):
+        return []
+    yk = (y + y2) / 2.0 + L * (t2 - t) / 2.0
+    if abs(yk - y) <= L * (xk - t) and abs(y2 - yk) <= L * (t2 - xk):
+        return [(xk, yk)]
+    if L * (xk - t) >= abs(yk - y):
+        xl, xr = math.nextafter(xk, t), xk
+    else:
+        xl, xr = xk, math.nextafter(xk, t2)
+    if not (t < xl and xr < t2):
+        return [(xk, sagged_ordinate_scalar(t, y, t2, y2, L, xk))]
+    lb = L * (xl - t)
+    rb = L * (t2 - xr)
+    yl = pull_onto_cone_scalar(y + lb, y, lb)
+    yr = pull_onto_cone_scalar(y2 + rb, y2, rb)
+    mid = L * (xr - xl)
+    for _ in range(8):
+        if abs(yr - yl) <= mid:
+            return [(xl, yl), (xr, yr)]
+        if yl > yr:
+            yl = math.nextafter(yl, yr)
+        else:
+            yr = math.nextafter(yr, yl)
+    return [(xk, sagged_ordinate_scalar(t, y, t2, y2, L, xk))]
+
+
+def sagged_ordinate_scalar(
+    t: float, y: float, t2: float, y2: float, L: float, xk: float
+) -> float:
+    """Lower a single kink ulp by ulp (at most 64 steps) until both cones hold."""
+    yk = min(y + L * (xk - t), y2 + L * (t2 - xk))
+    floor = min(y, y2)
+    for _ in range(64):
+        if abs(yk - y) <= L * (xk - t) and abs(y2 - yk) <= L * (t2 - xk):
+            return yk
+        if yk <= floor:
+            break
+        yk = math.nextafter(yk, floor)
+    return yk
+
+
+def pull_onto_cone_scalar(moving: float, anchor: float, bound: float) -> float:
+    """Jump to ``anchor +/- bound``, then walk toward ``anchor`` until
+    ``|moving - anchor| <= bound`` holds in floats."""
+    if abs(moving - anchor) <= bound:
+        return moving
+    target = anchor + bound if moving > anchor else anchor - bound
+    while abs(target - anchor) > bound:
+        target = math.nextafter(target, anchor)
+    return target
+
+
+def bits(points) -> bytes:
+    """The bytes of a breakpoint list, so that ``0.0`` and ``-0.0`` differ."""
+    return np.asarray(points, dtype=float).tobytes()
 
 
 def list_rebuild_eval(f: FunctionSpec, x: float) -> float:

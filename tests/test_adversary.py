@@ -25,17 +25,13 @@ from qibc import (
     worst_radius,
 )
 from helpers import (
+    bits,
     radius_via_envelopes,
     random_design,
     riemann_integral,
     ulp_spaced_design,
     zero_data_envelopes,
 )
-
-
-def bits(points):
-    """The bytes of a breakpoint tuple, so that ``0.0`` and ``-0.0`` differ."""
-    return np.asarray(points, dtype=float).tobytes()
 
 
 class TestSpikeAgainstEnvelopes:

@@ -24,7 +24,7 @@ from qibc import (
     pwl,
     trig,
 )
-from qibc.functions import _eval_sorted
+from qibc.functions import _eval_pwl
 from helpers import list_rebuild_eval, random_lipschitz_pwl, riemann_integral
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), Promise(1.0, -1.0, 1.0))
@@ -180,7 +180,7 @@ def pwl_functions(draw):
     return pwl([(x, draw(ordinates)) for x in sorted(xs)])
 
 
-class TestEvalSorted:
+class TestEvalPwl:
     @given(pwl_functions())
     @settings(max_examples=500, deadline=None)
     def test_bitwise_equal_to_eval(self, f):
@@ -188,7 +188,8 @@ class TestEvalSorted:
         for x, _ in f.points:
             probes |= {x, math.nextafter(x, -1.0), math.nextafter(x, 2.0)}
         xs = sorted(x for x in probes if 0.0 <= x <= 1.0)
-        assert [y.hex() for y in _eval_sorted(f, xs)] == [feval(f, x).hex() for x in xs]
+        got = _eval_pwl(np.array(f.points), np.array(xs)).tolist()
+        assert [y.hex() for y in got] == [feval(f, x).hex() for x in xs]
 
 
 class TestValidation:

@@ -33,6 +33,9 @@ from qibc import (
     worst_radius,
 )
 from helpers import (
+    bits,
+    check_consistency_scalar,
+    kink_scalar,
     pairwise_consistent,
     pointwise_envelope_check,
     radius_closed_form,
@@ -41,6 +44,7 @@ from helpers import (
     random_lipschitz_pwl,
     riemann_envelope_integrals,
     riemann_min_dist_integral,
+    upper_breakpoints_scalar,
 )
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
@@ -197,6 +201,16 @@ class TestEnvelopeCheck:
         else:
             assert want is None
 
+    @pytest.mark.parametrize("up_start, low_start", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zero_start_reports_the_upper_abscissa(self, up_start, low_start):
+        # both members start at x=0 with different zero signs and cross there:
+        # the message names the upper member's zero
+        upper = pwl([(up_start, 0.0), (1.0, 1.0)])
+        lower = pwl([(low_start, 0.5), (1.0, 0.0)])
+        with pytest.raises(ValidationError) as exc:
+            Envelope(upper=upper, lower=lower)
+        assert str(exc.value) == f"lower envelope exceeds upper at x={up_start}"
+
 
 class TestConsistencyCheck:
     @given(walk_data())
@@ -221,6 +235,20 @@ class TestConsistencyCheck:
         assert not pairwise_consistent(ts, ys, 1.0)
         with pytest.raises(InfeasibleDataError, match="t=0.08, t=0.5"):
             envelopes(Design(ts), DataVector(ys), 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tied_prefix_extreme_names_its_first_index(self, sign):
+        # y + L t is 0.5 at the first three points (y - L t for sign -1 is
+        # -0.5): the prefix extreme is tied, and the failing pair named is
+        # the one with the first tied index
+        ts = (0.0, 0.25, 0.5, 0.75)
+        ys = tuple(sign * v for v in (0.5, 0.25, 0.0, -0.5))
+        with pytest.raises(InfeasibleDataError) as exc:
+            information._check_consistency(ts, ys, 1.0)
+        assert str(exc.value) == (
+            f"data not Lipschitz-1.0 consistent at points t=0.0, t=0.75: "
+            f"|{ys[0]} - {ys[3]}| > L*dt"
+        )
 
     def test_drift_of_adjacent_slack_rejected(self):
         # every adjacent pair sits just inside the tolerance; the ends do not
@@ -384,7 +412,7 @@ class TestKinkPulledOntoDesignCone:
         ys = (-0.7253714707020835, -0.03050710000202772)
         L = 4.8712464025269435
         (t, t2), (y, y2) = ts, ys
-        [(xk, yk)] = information._kink(t, y, t2, y2, L)
+        [(xk, yk)] = kink_scalar(t, y, t2, y2, L)
         assert xk == math.nextafter(t2, 0.0)
         assert abs(y2 - yk) > L * (t2 - xk)
         pulled = information._pull_onto_cone(yk, y2, L * (t2 - xk))
@@ -392,6 +420,57 @@ class TestKinkPulledOntoDesignCone:
         env = envelopes(Design(ts), DataVector(ys), L)
         assert env.upper.points[1:4] == ((t, y), (xk, pulled), (t2, y2))
         assert float_lipschitz_faults(ts, env, L) == []
+
+
+def consistency_message(check, ts, ys, L):
+    try:
+        check(ts, ys, L)
+    except InfeasibleDataError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrayPassAgainstScalarLadder:
+    """``envelopes`` and ``_spike`` against the scalar ladder of ``helpers``:
+    ``float.hex`` equality of every breakpoint, compared as bytes."""
+
+    @staticmethod
+    def assert_matches(ts, ys, L, spike=True):
+        want = consistency_message(check_consistency_scalar, ts, ys, L)
+        assert consistency_message(information._check_consistency, ts, ys, L) == want
+        if want is not None or L == 0.0:
+            return
+        env = envelopes(Design(ts), DataVector(ys), L)
+        assert bits(env.upper.points) == bits(upper_breakpoints_scalar(ts, ys, L))
+        neg = upper_breakpoints_scalar(ts, tuple(-v for v in ys), L)
+        assert bits(env.lower.points) == bits([(x, -v) for x, v in neg])
+        if spike:
+            want_spike = upper_breakpoints_scalar(ts, (0.0,) * len(ts), L)
+            assert bits(information._spike(Design(ts), L)) == bits(want_spike)
+
+    @given(ulp_spaced_data())
+    @settings(max_examples=100, deadline=None)
+    def test_ulp_spaced_data(self, case):
+        self.assert_matches(*case)
+
+    @given(walk_data())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_data(self, case):
+        self.assert_matches(*case)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    def test_optimal_designs(self, L):
+        # their zero-data envelopes are checked against this spike in test_adversary
+        for n in range(1, 301):
+            d = optimal_design(n)
+            want = upper_breakpoints_scalar(d.points, (0.0,) * n, L)
+            assert bits(information._spike(d, L)) == bits(want), n
+
+    def test_random_designs_n2000(self):
+        for seed in range(20):
+            rng = np.random.default_rng(4000 + seed)
+            d = random_design(rng, 2000)
+            self.assert_matches(d.points, random_consistent_data(rng, d, 1.0), 1.0, spike=False)
 
 
 class TestPullOntoCone:
