@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from typing import Any
 
 from .adversary import Quadrature, foil, fooling_pair
 from .bounds import (
@@ -35,7 +33,6 @@ from .bounds import (
 from .exceptions import (
     CapacityError,
     PremiseViolationError,
-    QibcError,
     ValidationError,
 )
 from .functions import function_from_json, function_to_json
@@ -48,7 +45,7 @@ from .information import (
     optimal_design,
     query_complexity,
 )
-from .serialize import dumps_json, format_float, render_csv
+from .serialize import dumps_json, format_float, load_json_file, reading, render_csv
 from .simulator import (
     algorithm_from_json,
     distribution,
@@ -72,16 +69,6 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ValidationError(f"malformed {what}: {text!r}") from exc
 
 
-def _load_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValidationError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
-
-
 def _emit(text: str, out: str | None, summary: str) -> None:
     """Write ``text`` to ``out`` and print a summary, or print the text."""
     if out is None:
@@ -102,7 +89,7 @@ def _load_family(path: str) -> list:
         raise ValidationError(f"cannot list family directory {path}: {exc}") from exc
     if not names:
         raise ValidationError(f"family directory {path} contains no .json functions")
-    return [function_from_json(_load_json(os.path.join(path, n))) for n in names]
+    return [function_from_json(load_json_file(os.path.join(path, n))) for n in names]
 
 
 # --------------------------------------------------------------------------
@@ -170,25 +157,16 @@ def _cmd_fooling_pair(ns: argparse.Namespace) -> None:
 
 
 def _cmd_foil(ns: argparse.Namespace) -> None:
-    node = _load_json(ns.quadrature)
-    if not isinstance(node, dict) or set(node) != {"design", "weights"}:
-        raise ValidationError(
-            f"quadrature file must hold an object with keys design, weights: {ns.quadrature}"
-        )
-    try:
-        design = tuple(float(t) for t in node["design"])
-        weights = tuple(float(w) for w in node["weights"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"quadrature design and weights must be lists of numbers: {ns.quadrature}"
-        ) from exc
-    q = Quadrature(design=Design(design), weights=weights)
+    node = load_json_file(ns.quadrature)
+    with reading(node, "quadrature", {"design", "weights"}):
+        design = Design(tuple(float(t) for t in node["design"]))
+        q = Quadrature(design=design, weights=tuple(float(w) for w in node["weights"]))
     print(format_float(foil(q, ns.L)))
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> None:
-    alg = algorithm_from_json(_load_json(ns.alg))
-    f = function_from_json(_load_json(ns.f))
+    alg = algorithm_from_json(load_json_file(ns.alg))
+    f = function_from_json(load_json_file(ns.f))
     dist = distribution(alg, f)
     summary = (
         f"simulate: nu={alg.nu} queries={alg.num_queries} outcomes={alg.outcome_count}"
@@ -208,7 +186,7 @@ def _cmd_extract(ns: argparse.Namespace) -> None:
 
 
 def _cmd_verify_bound(ns: argparse.Namespace) -> None:
-    alg = algorithm_from_json(_load_json(ns.alg))
+    alg = algorithm_from_json(load_json_file(ns.alg))
     family = _load_family(ns.family)
     report = verify_bound(alg, family, L=ns.L, eps=ns.eps, c=ns.c)
     summary = (
@@ -327,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 4
-    except QibcError as exc:  # defensive: any future category -> validation
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:

@@ -35,7 +35,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .exceptions import DomainError, ValidationError
-from .serialize import check_keys
+from .serialize import reading
 
 __all__ = [
     "Promise",
@@ -300,12 +300,9 @@ def promise_to_json(p: Promise) -> dict[str, Any]:
 
 
 def promise_from_json(node: Any) -> Promise:
-    check_keys(node, "promise", {"L", "range"})
-    try:
+    with reading(node, "promise", {"L", "range"}):
         lo, hi = node["range"]
         return Promise(float(node["L"]), float(lo), float(hi))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed promise: {node!r}") from exc
 
 
 def function_to_json(f: FunctionSpec) -> dict[str, Any]:
@@ -323,16 +320,13 @@ def function_to_json(f: FunctionSpec) -> dict[str, Any]:
 
 
 def function_from_json(node: Any) -> FunctionSpec:
-    check_keys(node, "function", {"family", "promise", "points", "value", "coefficients"})
-    family = node.get("family")
-    promise = promise_from_json(node["promise"]) if "promise" in node else None
-    try:
+    with reading(node, "function", {"family", "promise", "points", "value", "coefficients"}):
+        family = node.get("family")
+        promise = promise_from_json(node["promise"]) if "promise" in node else None
         if family == "pwl":
             return pwl([(float(x), float(y)) for x, y in node["points"]], promise)
         if family == "constant":
             return constant(float(node["value"]), promise)
         if family == "trig":
             return trig([float(c) for c in node["coefficients"]], promise)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {family!r} function: {node!r}") from exc
-    raise ValidationError(f"unknown family {family!r}; expected pwl | constant | trig")
+        raise ValidationError(f"unknown family {family!r}; expected pwl | constant | trig")

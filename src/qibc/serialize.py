@@ -7,12 +7,21 @@ run after run and machine after machine:
 * floats are rendered with printf ``%.17g`` — 17 significant digits always
   round-trip a double exactly — and a ``.0`` is appended when the rendering
   would otherwise look like an integer, so floats stay visibly floats;
-* JSON objects keep insertion order (callers build them in a fixed order),
-  use two-space indentation, and inline short scalar-only containers;
+* JSON objects keep insertion order (callers build them in a fixed order)
+  and use two-space indentation. A container goes on one line when that line
+  is at most 100 characters and none of its children spans lines; otherwise
+  it puts one item per line;
 * CSV uses ``\\n`` line endings and no quoting (no field we emit needs it).
 
-Only finite numbers are serializable; NaN or infinity raises
-:class:`~qibc.exceptions.ValidationError`.
+Only finite numbers and string object keys are serializable; anything else
+raises :class:`~qibc.exceptions.ValidationError`.
+
+Every JSON reader goes through :class:`reading`, which raises a
+``ValidationError`` in one of two forms: the shape of the object
+(``<what> must be a JSON object, got <type>`` or ``unknown <what> keys:
+[...]``), or ``malformed <what>: <the error>`` for a missing field or one of
+the wrong type or value. A ``ValidationError`` a value raises itself, such
+as a pwl's non-increasing breakpoints, passes through unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ __all__ = [
     "format_float",
     "dumps_json",
     "dump_json_file",
-    "check_keys",
+    "load_json_file",
+    "reading",
     "render_csv",
     "read_csv",
 ]
@@ -47,8 +57,8 @@ def format_float(x: float) -> str:
     return s
 
 
-def _render(node: Any) -> str | None:
-    """Inline rendering of a node, or None if it must go multiline."""
+def _dump(node: Any, indent: int) -> str:
+    """``node`` as JSON text whose nested lines sit ``indent`` levels deep."""
     if node is None:
         return "null"
     if node is True:
@@ -61,61 +71,28 @@ def _render(node: Any) -> str | None:
         return str(node)
     if isinstance(node, float):
         return format_float(node)
-    if isinstance(node, (list, tuple)):
-        parts = []
-        for item in node:
-            p = _render(item)
-            if p is None:
-                return None
-            parts.append(p)
-        s = "[" + ", ".join(parts) + "]"
-        return s if len(s) <= _INLINE_WIDTH else None
     if isinstance(node, dict):
-        parts = []
+        items = []
         for key, value in node.items():
             if not isinstance(key, str):
                 raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            p = _render(value)
-            if p is None:
-                return None
-            parts.append(json.dumps(key) + ": " + p)
-        s = "{" + ", ".join(parts) + "}"
-        return s if len(s) <= _INLINE_WIDTH else None
-    raise ValidationError(f"value of type {type(node).__name__} is not serializable")
-
-
-def _write(node: Any, indent: int, out: list[str]) -> None:
-    inline = _render(node)
-    if inline is not None:
-        out.append(inline)
-        return
+            items.append(json.dumps(key) + ": " + _dump(value, indent + 1))
+        left, right = "{", "}"
+    elif isinstance(node, (list, tuple)):
+        items = [_dump(item, indent + 1) for item in node]
+        left, right = "[", "]"
+    else:
+        raise ValidationError(f"value of type {type(node).__name__} is not serializable")
+    line = left + ", ".join(items) + right
+    if len(line) <= _INLINE_WIDTH:  # a child that spans lines is longer than that
+        return line
     pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if isinstance(node, (list, tuple)):
-        out.append("[\n")
-        for i, item in enumerate(node):
-            out.append(pad_in)
-            _write(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(node) else "\n")
-        out.append(pad + "]")
-    elif isinstance(node, dict):
-        out.append("{\n")
-        items = list(node.items())
-        for i, (key, value) in enumerate(items):
-            out.append(pad_in + json.dumps(key) + ": ")
-            _write(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:  # a scalar too long to inline cannot exist
-        raise AssertionError("unreachable")
+    return f"{left}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{right}"
 
 
 def dumps_json(node: Any) -> str:
     """Serialize ``node`` deterministically; ends with a newline."""
-    out: list[str] = []
-    _write(node, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _dump(node, 0) + "\n"
 
 
 def dump_json_file(path: str, node: Any) -> None:
@@ -123,13 +100,38 @@ def dump_json_file(path: str, node: Any) -> None:
         fh.write(dumps_json(node))
 
 
-def check_keys(node: Any, what: str, keys: set[str]) -> None:
-    """Require ``node`` to be a JSON object whose keys all lie in ``keys``."""
-    if not isinstance(node, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {type(node).__name__}")
-    extra = set(node) - keys
-    if extra:
-        raise ValidationError(f"unknown {what} keys: {sorted(extra)}")
+def load_json_file(path: str) -> Any:
+    """Parse the JSON document in the UTF-8 file ``path``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path} nests JSON too deeply to parse") from exc
+
+
+class reading:
+    """Guard the reads from JSON object ``node``, a ``what`` whose keys lie in ``keys``.
+
+    Its two forms of error are those the module docstring gives.
+    """
+
+    def __init__(self, node: Any, what: str, keys: set[str]) -> None:
+        if not isinstance(node, dict):
+            raise ValidationError(f"{what} must be a JSON object, got {type(node).__name__}")
+        extra = set(node) - keys
+        if extra:
+            raise ValidationError(f"unknown {what} keys: {sorted(extra)}")
+        self.what = what
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: Any, exc: Any, tb: Any) -> None:
+        bad = (KeyError, TypeError, ValueError, OverflowError)
+        if isinstance(exc, bad) and not isinstance(exc, ValidationError):
+            raise ValidationError(f"malformed {self.what}: {exc}") from exc
 
 
 def _format_cell(value: Any) -> str:
@@ -157,16 +159,19 @@ def render_csv(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read CSV text as :func:`render_csv` writes it (no quoting, no escapes)."""
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
-    lines = [ln for ln in raw.split("\n") if ln != ""]
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Read CSV text as :func:`render_csv` writes it (no quoting, no escapes)."""
+    lines = [ln for ln in _read_text(path).split("\n") if ln != ""]
     if not lines:
         raise ValidationError(f"empty CSV file: {path}")
     header = lines[0].split(",")

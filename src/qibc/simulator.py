@@ -65,7 +65,7 @@ import numpy as np
 
 from .exceptions import CapacityError, ValidationError
 from .functions import FunctionSpec, eval as feval
-from .serialize import check_keys, read_csv, render_csv
+from .serialize import read_csv, reading, render_csv
 
 __all__ = [
     "MAX_QUBITS",
@@ -624,8 +624,7 @@ def gate_to_json(g: GateOp) -> dict[str, Any]:
 
 
 def gate_from_json(node: Any) -> GateOp:
-    check_keys(node, "gate", {"gate", "targets", "theta", "matrix"})
-    try:
+    with reading(node, "gate", {"gate", "targets", "theta", "matrix"}):
         matrix = None
         if "matrix" in node:
             matrix = tuple(
@@ -638,8 +637,6 @@ def gate_from_json(node: Any) -> GateOp:
             theta=float(node["theta"]) if "theta" in node else None,
             matrix=matrix,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed gate: {node!r}") from exc
 
 
 def _query_to_json(q: QuerySpec) -> dict[str, Any]:
@@ -652,8 +649,7 @@ def _query_to_json(q: QuerySpec) -> dict[str, Any]:
 
 
 def _query_from_json(node: Any) -> QuerySpec:
-    check_keys(node, "query", {"m_prime", "m_double_prime", "range", "tau_rule"})
-    try:
+    with reading(node, "query", {"m_prime", "m_double_prime", "range", "tau_rule"}):
         lo, hi = node["range"]
         return QuerySpec(
             m_prime=int(node["m_prime"]),
@@ -662,8 +658,6 @@ def _query_from_json(node: Any) -> QuerySpec:
             range_hi=float(hi),
             tau_rule=node.get("tau_rule", "midpoint"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed query: {node!r}") from exc
 
 
 def _decode_to_json(d: Decode) -> dict[str, Any]:
@@ -673,15 +667,11 @@ def _decode_to_json(d: Decode) -> dict[str, Any]:
 
 
 def _decode_from_json(node: Any) -> Decode:
-    if isinstance(node, dict) and node.get("kind") == "sin2":
-        check_keys(node, "decode", {"kind"})
-        return Sin2Decode()
-    check_keys(node, "decode", {"scale", "offset"})
-    try:
-        scale, offset = float(node["scale"]), float(node["offset"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed decode: {node!r}") from exc
-    return AffineDecode(scale=scale, offset=offset)
+    sin2 = isinstance(node, dict) and node.get("kind") == "sin2"
+    with reading(node, "decode", {"kind"} if sin2 else {"scale", "offset"}):
+        if sin2:
+            return Sin2Decode()
+        return AffineDecode(scale=float(node["scale"]), offset=float(node["offset"]))
 
 
 def algorithm_to_json(a: AlgorithmSpec) -> dict[str, Any]:
@@ -695,8 +685,7 @@ def algorithm_to_json(a: AlgorithmSpec) -> dict[str, Any]:
 
 
 def algorithm_from_json(node: Any) -> AlgorithmSpec:
-    check_keys(node, "algorithm", {"nu", "query", "layers", "measure", "decode"})
-    try:
+    with reading(node, "algorithm", {"nu", "query", "layers", "measure", "decode"}):
         query = node.get("query")
         return AlgorithmSpec(
             nu=int(node["nu"]),
@@ -707,10 +696,6 @@ def algorithm_from_json(node: Any) -> AlgorithmSpec:
             measure=tuple(int(t) for t in node["measure"]),
             decode=_decode_from_json(node["decode"]),
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed algorithm: {exc}") from exc
 
 
 def distribution_to_csv(dist: OutcomeDistribution) -> str:

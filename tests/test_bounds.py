@@ -15,6 +15,7 @@ from qibc import (
     PremiseViolationError,
     Quadrature,
     best_cluster,
+    build_ae_mean,
     build_bound_fixture,
     build_reversible_midpoint,
     constant,
@@ -24,11 +25,13 @@ from qibc import (
     foil,
     local_error,
     local_error_setform,
+    measure,
     midpoint_algorithm,
     negate,
     pwl,
     qubit_lower_bound,
     report_to_json,
+    run,
     verify_bound,
     worst_prob_error,
 )
@@ -151,6 +154,18 @@ class TestWorstProbErrorCompilesOnce:
         a = fx.algorithm
         want = max(local_error(distribution(a, f), exact_integral(f)) for f in fx.family)
         assert worst_prob_error(a, fx.family).hex() == want.hex()
+
+    def test_dense_circuit_runs_every_member(self):
+        a = build_ae_mean(2, 3, 0.0, 1.0)  # H gates send it down the dense branch
+        family = [
+            pwl(((0.0, 1.0), (1.0, 0.0))),
+            pwl(((0.0, 0.0), (0.5, 0.9), (1.0, 0.0))),
+            pwl(((0.0, 0.0), (0.7, 0.0), (0.8, 1.0), (1.0, 1.0))),
+        ]
+        errors = [local_error(measure(run(a, f), a), exact_integral(f)) for f in family]
+        assert errors == sorted(set(errors))  # distinct, the last member the worst
+        assert worst_prob_error(a, family).hex() == errors[-1].hex()
+        assert verify_bound(a, family, L=10.0, eps=0.5).achieved_error.hex() == errors[-1].hex()
 
 
 class TestWorErrorLower:

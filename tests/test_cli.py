@@ -239,6 +239,15 @@ class TestSimulate:
         assert code == 4
         assert err.startswith("capacity exceeded:")
 
+    def test_gate_error_reaches_stderr(self, capsys, tmp_path, midpoint_files):
+        alg_path, f_path, _ = midpoint_files
+        alg = json.loads(alg_path.read_text())
+        alg["layers"][0] = [{"gate": "swap", "targets": [0, 0]}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(alg))
+        code, out, err = run_cli(capsys, "simulate", "--alg", str(bad), "--f", str(f_path))
+        assert (code, out, err) == (2, "", "error: duplicate targets in (0, 0)\n")
+
     def test_malformed_algorithm_exits_2(self, capsys, tmp_path, midpoint_files):
         _, f_path, _ = midpoint_files
         bad = tmp_path / "bad.json"
@@ -417,6 +426,13 @@ class TestUnreadableInputExits2:
         (tmp_path / "design_a.json").write_text('{"design": ["a"], "weights": [1.0]}')
         (tmp_path / "weights_x.json").write_text('{"design": [0.5], "weights": ["x"]}')
         (tmp_path / "adir").mkdir()
+        (tmp_path / "deep.json").write_text("[" * 200_000)
+        inf_layers = [[{"gate": "X", "targets": ["INF"]}], *alg["layers"][1:]]
+        for name, doc in (
+            ("nu_inf", {**alg, "nu": "INF"}),
+            ("targets_inf", {**alg, "layers": inf_layers}),
+        ):  # 1e999 parses as an infinite float
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc).replace('"INF"', "1e999"))
         return tmp_path, f_path
 
     @pytest.mark.parametrize(
@@ -431,10 +447,14 @@ class TestUnreadableInputExits2:
             ("simulate", "--alg", "{d}/nu_abc.json", "--f", "{f}"),
             ("simulate", "--alg", "{d}/measure_abc.json", "--f", "{f}"),
             ("simulate", "--alg", "{d}/scale_abc.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/deep.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/nu_inf.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/targets_inf.json", "--f", "{f}"),
         ],
         ids=["missing-csv", "directory-csv", "utf16-csv", "utf16-json",
              "non-numeric-design", "non-numeric-weights", "non-numeric-nu",
-             "non-numeric-measure", "non-numeric-decode-scale"],
+             "non-numeric-measure", "non-numeric-decode-scale", "deeply-nested-json",
+             "infinite-nu", "infinite-target"],
     )
     def test_exit_2_without_traceback(self, files, argv):
         d, f = files

@@ -80,6 +80,23 @@ class TestDumpsJson:
         doc = {"b": [0.1, 0.2], "a": {"nested": [1e-300]}}
         assert dumps_json(doc) == dumps_json(doc)
 
+    def test_key_after_a_multiline_value_is_checked(self):
+        with pytest.raises(ValidationError) as exc:
+            dumps_json({"a": ["y" * 120], 3: 1})
+        assert str(exc.value) == "JSON object keys must be strings, got 3"
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=30)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda kids: st.lists(kids, max_size=6)
+            | st.dictionaries(st.text(max_size=8), kids, max_size=6),
+            max_leaves=40,
+        )
+    )
+    def test_round_trips_through_json(self, doc):
+        assert json.loads(dumps_json(doc)) == doc
+
 
 class TestCsv:
     def test_render_matches_hand_written(self):
@@ -159,3 +176,47 @@ class TestJsonReaderShape:
         with pytest.raises(ValidationError) as exc:
             function_from_json(doc)
         assert str(exc.value) == "unknown function keys: ['zeta']"
+
+
+class TestJsonReaderErrors:
+    """Inside the guard: a value's own error passes through, a bad field is named short."""
+
+    @pytest.mark.parametrize(
+        "reader, node, message",
+        [
+            (function_from_json, {"family": "pwl", "points": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+             "pwl breakpoint x-values must be strictly increasing"),
+            (gate_from_json, {"gate": "swap", "targets": [0, 0]}, "duplicate targets in (0, 0)"),
+            (_query_from_json, {"m_prime": 1, "m_double_prime": 1, "range": [1.0, 0.0]},
+             "query range must satisfy lo < hi, got [1.0, 0.0]"),
+            (promise_from_json, {"L": -1.0, "range": [0.0, 1.0]},
+             "lipschitz_bound must be nonnegative, got -1.0"),
+        ],
+        ids=["pwl-not-increasing", "gate-duplicate-targets", "query-lo-ge-hi", "promise-negative-L"],
+    )
+    def test_value_error_passes_through(self, reader, node, message):
+        with pytest.raises(ValidationError) as exc:
+            reader(node)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "what, key",
+        [("decode", "scale"), ("gate", "targets"), ("query", "m_prime"),
+         ("algorithm", "nu"), ("promise", "L"), ("function", "value")],
+    )
+    def test_missing_field(self, what, key):
+        doc = {k: v for k, v in _VALID_DOCS[what].items() if k != key}
+        with pytest.raises(ValidationError) as exc:
+            _READERS[what](doc)
+        assert str(exc.value) == f"malformed {what}: '{key}'"
+
+    def test_message_short_for_a_large_node(self):
+        points = [[i / 1999, 0.0] for i in range(2000)]
+        with pytest.raises(ValidationError) as exc:
+            function_from_json({"family": "trig", "points": points})
+        assert str(exc.value) == "malformed function: 'coefficients'"
+
+    def test_overflow_is_malformed(self):
+        with pytest.raises(ValidationError) as exc:
+            algorithm_from_json(dict(_VALID_DOCS["algorithm"], nu=math.inf))
+        assert str(exc.value) == "malformed algorithm: cannot convert float infinity to integer"
