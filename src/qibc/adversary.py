@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import ValidationError
 from .functions import FunctionSpec, Promise, exact_integral, negate, pwl
 from .information import Design, _spike, worst_radius
@@ -85,7 +87,7 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
     """
     L = _fooling_bound(L)
     points = _spike(d, L)
-    peak = max(abs(y) for _, y in points)
+    peak = float(np.abs(points[:, 1]).max())
     promise = Promise(L, -peak, peak) if peak > 0.0 else None
     f_plus = pwl(points, promise)  # exact_integral(negate(f)) is -exact_integral(f) bitwise
     return FoolingPair(f_plus=f_plus, f_minus=negate(f_plus), gap=2.0 * exact_integral(f_plus))

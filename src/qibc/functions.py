@@ -5,8 +5,9 @@ an exact integral, and a promise check:
 
 ``pwl``
     Piecewise-linear through breakpoints ``(x_i, y_i)`` with ``x`` strictly
-    increasing from exactly 0 to exactly 1. The workhorse family: envelopes
-    and adversary functions are piecewise-linear.
+    increasing from exactly 0 to exactly 1, given as pairs or as an ``(n, 2)``
+    array. The workhorse family: envelopes and adversary functions are
+    piecewise-linear.
 ``constant``
     A single value.
 ``trig``
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable
 
@@ -93,7 +93,13 @@ class Promise:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A closed-form function on [0, 1], optionally carrying its promise."""
+    """A closed-form function on [0, 1], optionally carrying its promise.
+
+    A pwl also keeps its breakpoints as a read-only float ``(n, 2)`` array,
+    ``_breakpoints``, beside the ``points`` tuple; the integral, the promise
+    check and the ``Envelope`` check read the array. It is not a field, so
+    equality, hashing, ``repr`` and JSON see ``points`` alone.
+    """
 
     family: str
     points: tuple[tuple[float, float], ...] | None = None
@@ -105,22 +111,9 @@ class FunctionSpec:
         if self.family == "pwl":
             if self.points is None or self.value is not None or self.coefficients is not None:
                 raise ValidationError("pwl functions take exactly the 'points' parameter")
-            pts = tuple([(float(x), float(y)) for x, y in self.points])
-            if len(pts) < 2:
-                raise ValidationError("pwl needs at least 2 breakpoints")
-            arr = _rows(pts)
-            finite = np.isfinite(arr).all(axis=1)
-            if not finite.all():
-                x, y = pts[int(np.argmin(finite))]
-                raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
-            if (arr[1:, 0] <= arr[:-1, 0]).any():
-                raise ValidationError("pwl breakpoint x-values must be strictly increasing")
-            (x0, _), (x1, _) = pts[0], pts[-1]
-            if x0 != 0.0 or x1 != 1.0:
-                raise ValidationError(
-                    f"pwl breakpoints must span [0, 1] exactly, got [{x0}, {x1}]"
-                )
-            object.__setattr__(self, "points", pts)
+            xy = _breakpoint_array(self.points)
+            object.__setattr__(self, "_breakpoints", xy)
+            object.__setattr__(self, "points", tuple(zip(*xy.T.tolist())))
         elif self.family == "constant":
             if self.value is None or self.points is not None or self.coefficients is not None:
                 raise ValidationError("constant functions take exactly the 'value' parameter")
@@ -144,9 +137,44 @@ class FunctionSpec:
                 f"unknown family {self.family!r}; expected pwl | constant | trig"
             )
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuild through __init__, so a copy or an unpickled value gets its
+        # own validated, read-only breakpoint array
+        return (FunctionSpec, (self.family, self.points, self.value, self.coefficients,
+                               self.promise))
 
-def pwl(points: Iterable[tuple[float, float]], promise: Promise | None = None) -> FunctionSpec:
-    """Piecewise-linear function through ``points``."""
+
+def _breakpoint_array(points: Any) -> np.ndarray:
+    """``points`` as a fresh read-only float ``(n, 2)`` array, checked as pwl breakpoints."""
+    try:
+        xy = np.array(points if isinstance(points, np.ndarray) else list(points),
+                      dtype=float, ndmin=1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"pwl breakpoints must be pairs of real numbers: {exc}") from exc
+    if len(xy) < 2:
+        raise ValidationError("pwl needs at least 2 breakpoints")
+    if xy.shape[1:] != (2,):
+        raise ValidationError(f"pwl breakpoints must be (x, y) pairs, got shape {xy.shape}")
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        x, y = xy[np.argmin(finite)].tolist()
+        raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
+    if (xy[1:, 0] <= xy[:-1, 0]).any():
+        raise ValidationError("pwl breakpoint x-values must be strictly increasing")
+    x0, x1 = xy[[0, -1], 0].tolist()
+    if x0 != 0.0 or x1 != 1.0:
+        raise ValidationError(f"pwl breakpoints must span [0, 1] exactly, got [{x0}, {x1}]")
+    xy.flags.writeable = False
+    return xy
+
+
+def pwl(
+    points: Iterable[tuple[float, float]] | np.ndarray, promise: Promise | None = None
+) -> FunctionSpec:
+    """Piecewise-linear function through ``points``: ``(x, y)`` pairs or an ``(n, 2)`` array.
+
+    An array is copied, so changing it afterwards does not change the function.
+    """
     return FunctionSpec(family="pwl", points=points, promise=promise)
 
 
@@ -198,11 +226,6 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     return math.fsum(terms)
 
 
-def _rows(points: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """Breakpoints as an ``(n, 2)`` float array."""
-    return np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
-
-
 def _eval_pwl(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """``eval`` of the pwl with breakpoint rows ``points`` at each of ``xs``, bit for bit.
 
@@ -234,13 +257,8 @@ def exact_integral(f: FunctionSpec) -> float:
     if f.family == "trig":
         assert f.coefficients is not None
         return f.coefficients[0]
-    pts = f.points
-    assert pts is not None
-    terms = [
-        (x1 - x0) * (y0 + y1) / 2.0
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-    ]
-    return math.fsum(terms)
+    x, y = f._breakpoints.T
+    return math.fsum(((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0).tolist())
 
 
 def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
@@ -260,12 +278,10 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
     if f.family == "constant":
         return p.range_lo <= f.value <= p.range_hi  # type: ignore[operator]
     if f.family == "pwl":
-        pts = f.points
-        assert pts is not None
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if abs(y1 - y0) > L * (x1 - x0):
-                return False
-        return all(p.range_lo <= y <= p.range_hi for _, y in pts)
+        x, y = f._breakpoints.T
+        if (np.abs(y[1:] - y[:-1]) > L * (x[1:] - x[:-1])).any():
+            return False
+        return bool(((p.range_lo <= y) & (y <= p.range_hi)).all())
     n = max(grid_size, _TRIG_MIN_GRID)
     xs = [i / (n - 1) for i in range(n)]
     vals = eval_many(f, xs)
@@ -287,8 +303,7 @@ def negate(f: FunctionSpec) -> FunctionSpec:
     if f.family == "constant":
         return constant(-f.value, promise)  # type: ignore[operator]
     if f.family == "pwl":
-        assert f.points is not None
-        return pwl([(x, -y) for x, y in f.points], promise)
+        return pwl(f._breakpoints * (1.0, -1.0), promise)
     assert f.coefficients is not None
     return trig(tuple(-c for c in f.coefficients), promise)
 
@@ -308,8 +323,7 @@ def promise_from_json(node: Any) -> Promise:
 def function_to_json(f: FunctionSpec) -> dict[str, Any]:
     doc: dict[str, Any] = {"family": f.family}
     if f.family == "pwl":
-        assert f.points is not None
-        doc["points"] = [[x, y] for x, y in f.points]
+        doc["points"] = f._breakpoints.tolist()
     elif f.family == "constant":
         doc["value"] = f.value
     else:

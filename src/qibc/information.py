@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapacityError, InfeasibleDataError, ValidationError
-from .functions import FunctionSpec, _eval_pwl, _rows, eval as feval, exact_integral, pwl
+from .functions import FunctionSpec, _eval_pwl, eval as feval, exact_integral, pwl
 
 __all__ = [
     "Design",
@@ -74,7 +74,10 @@ class Design:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(t) for t in self.points)
+        try:
+            pts = tuple(float(t) for t in self.points)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"design points must be real numbers: {exc}") from exc
         if len(pts) < 1:
             raise ValidationError("a design needs at least one point")
         for t in pts:
@@ -121,7 +124,7 @@ class Envelope:
     def __post_init__(self) -> None:
         if self.upper.family != "pwl" or self.lower.family != "pwl":
             raise ValidationError("envelope members must be piecewise-linear")
-        up, low = _rows(self.upper.points), _rows(self.lower.points)
+        up, low = self.upper._breakpoints, self.lower._breakpoints
         bad_up = _eval_pwl(low, up[:, 0]) > up[:, 1] + CONSISTENCY_TOL
         bad_low = low[:, 1] > _eval_pwl(up, low[:, 0]) + CONSISTENCY_TOL
         first = [
@@ -366,9 +369,9 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
         return Envelope(upper=flat, lower=flat)
     t, y = np.array(ts), np.array(ys)
     xs, vs = _upper_breakpoints(t, y, L)
-    upper = pwl(zip(xs.tolist(), vs.tolist()))
+    upper = pwl(np.stack((xs, vs), 1))
     xs, vs = _upper_breakpoints(t, -y, L)
-    lower = pwl(zip(xs.tolist(), (-vs).tolist()))
+    lower = pwl(np.stack((xs, -vs), 1))
     return Envelope(upper=upper, lower=lower)
 
 
@@ -391,14 +394,13 @@ def _lipschitz_bound(L: float) -> float:
     return L
 
 
-def _spike(d: Design, L: float) -> list[tuple[float, float]]:
-    """Breakpoints of the zero-data upper envelope ``L * min_i |x - t_i|``, for ``L > 0``.
+def _spike(d: Design, L: float) -> np.ndarray:
+    """Breakpoint rows of the zero-data upper envelope ``L * min_i |x - t_i|``, for ``L > 0``.
 
     Zero data is consistent and its lower envelope is this spike's mirror, so
     neither needs checking.
     """
-    xs, vs = _upper_breakpoints(np.array(d.points), np.zeros(d.n), L)
-    return list(zip(xs.tolist(), vs.tolist()))
+    return np.stack(_upper_breakpoints(np.array(d.points), np.zeros(d.n), L), 1)
 
 
 def worst_radius(d: Design, L: float) -> float:

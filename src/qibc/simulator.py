@@ -167,6 +167,13 @@ def zero_state(nu: int) -> QState:
 # gates
 
 
+def _qubits(indices: Any, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in indices)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be integers: {exc}") from exc
+
+
 def _as_matrix_tuple(matrix: Any) -> tuple[tuple[complex, ...], ...]:
     rows = tuple(tuple(complex(v) for v in row) for row in matrix)
     n = len(rows)
@@ -200,7 +207,7 @@ class GateOp:
             raise ValidationError(
                 f"unknown gate {self.gate!r}; expected one of {', '.join(_GATE_KINDS)}"
             )
-        tg = tuple(int(t) for t in self.targets)
+        tg = _qubits(self.targets, "gate targets")
         if len(set(tg)) != len(tg):
             raise ValidationError(f"duplicate targets in {tg}")
         if any(t < 0 for t in tg):
@@ -311,7 +318,10 @@ class QuerySpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValidationError(f"{name} must be a positive int, got {v!r}")
-        lo, hi = float(self.range_lo), float(self.range_hi)
+        try:
+            lo, hi = float(self.range_lo), float(self.range_hi)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"query range must be real numbers: {exc}") from exc
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"query range must satisfy lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "range_lo", lo)
@@ -452,7 +462,7 @@ class AlgorithmSpec:
                 )
         elif len(layers) > 1:
             raise ValidationError("algorithms with queries need a query spec")
-        meas = tuple(int(t) for t in self.measure)
+        meas = _qubits(self.measure, "measured qubits")
         if len(meas) < 1:
             raise ValidationError("measurement list must be nonempty")
         if len(set(meas)) != len(meas):

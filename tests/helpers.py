@@ -3,10 +3,12 @@
 Everything here is deliberately written *differently* from the library code it
 checks (Riemann sums instead of exact breakpoint integration, brute-force
 subset scans instead of greedy prefixes, all-pairs loops instead of one-pass
-checks) so that agreement is evidence, not tautology. The scalar ladder
-(``upper_breakpoints_scalar`` with its gap helpers, and
-``check_consistency_scalar``) is the exception: it is the gap-by-gap loop
-that the library's array pass replaced, kept as that pass's bitwise oracle.
+checks) so that agreement is evidence, not tautology. The scalar routes are
+the exception: the scalar ladder (``upper_breakpoints_scalar`` with its gap
+helpers, and ``check_consistency_scalar``) is the gap-by-gap loop that the
+library's array pass replaced, and ``exact_integral_scalar`` is the
+segment-by-segment trapezoid sum that the array integral replaced. Each is
+kept as its replacement's bitwise oracle.
 """
 
 from __future__ import annotations
@@ -205,6 +207,18 @@ def pull_onto_cone_scalar(moving: float, anchor: float, bound: float) -> float:
     while abs(target - anchor) > bound:
         target = math.nextafter(target, anchor)
     return target
+
+
+def exact_integral_scalar(f: FunctionSpec) -> float:
+    """Exact integral of a pwl: one trapezoid per segment from the ``points``
+    tuple, in Python floats, summed by ``math.fsum``."""
+    pts = f.points
+    assert pts is not None
+    terms = [
+        (x1 - x0) * (y0 + y1) / 2.0
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:])
+    ]
+    return math.fsum(terms)
 
 
 def bits(points) -> bytes:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,22 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qibc import (
+    DataVector,
+    Design,
+    Envelope,
     FunctionSpec,
     Promise,
     ValidationError,
     check_promise,
     constant,
     eval as feval,
+    envelopes,
     eval_many,
     exact_integral,
     function_from_json,
     function_to_json,
+    interval_H,
     negate,
     pwl,
     trig,
 )
 from qibc.functions import _eval_pwl
-from helpers import list_rebuild_eval, random_lipschitz_pwl, riemann_integral
+from helpers import (
+    bits,
+    exact_integral_scalar,
+    list_rebuild_eval,
+    random_lipschitz_pwl,
+    riemann_integral,
+)
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), Promise(1.0, -1.0, 1.0))
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)), Promise(1.0, 0.0, 1.0))
@@ -192,6 +206,105 @@ class TestEvalPwl:
         assert [y.hex() for y in got] == [feval(f, x).hex() for x in xs]
 
 
+class TestExactIntegralAgainstScalar:
+    """The array integral against the per-segment trapezoid sum it replaced."""
+
+    @given(pwl_functions())
+    @settings(max_examples=500, deadline=None)
+    def test_bitwise_equal(self, f):
+        assert exact_integral(f).hex() == exact_integral_scalar(f).hex()
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, -0.0), (1.0, -0.0)],
+            [(0.0, 0.0), (0.5, -0.0), (1.0, 0.0)],
+            [(0.0, -0.0), (0.5, 1e300), (math.nextafter(0.5, 1.0), -1e300), (1.0, -0.0)],
+            [(0.0, 1.0), (math.nextafter(0.0, 1.0), -1.0), (math.nextafter(1.0, 0.0), 3.0),
+             (1.0, -0.0)],
+        ],
+        ids=["negative-zero", "mixed-zeros", "ulp-apart-huge", "ulp-apart-ends"],
+    )
+    def test_signed_zeros_and_ulp_spaced_breakpoints(self, points):
+        f = pwl(points)
+        assert exact_integral(f).hex() == exact_integral_scalar(f).hex()
+
+
+class TestArrayInput:
+    """``pwl`` of an ``(n, 2)`` array is ``pwl`` of the same pairs."""
+
+    @given(pwl_functions())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pairs(self, f):
+        g = pwl(np.array(f.points))
+        assert bits(g.points) == bits(f.points)
+        assert all(type(c) is float for p in g.points for c in p)
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+
+    def test_signed_zero_kept(self):
+        g = pwl(np.array([[0.0, -0.0], [1.0, 0.0]]))
+        assert [(x.hex(), y.hex()) for x, y in g.points] == [
+            ("0x0.0p+0", "-0x0.0p+0"), ("0x1.0000000000000p+0", "0x0.0p+0")
+        ]
+
+    def test_caller_array_is_copied(self):
+        arr = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+        f = pwl(arr)
+        arr[1, 1] = 9.0
+        assert f.points == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
+        assert exact_integral(f) == 0.25
+        assert feval(f, 0.5) == 0.5
+
+    def test_stored_array_read_only(self):
+        f = pwl(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        for g in (f, pwl([(0.0, 0.0), (1.0, 1.0)]), negate(f)):
+            assert not g._breakpoints.flags.writeable
+            with pytest.raises(ValueError):
+                g._breakpoints[0, 1] = 1.0
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [0.0, 0.5, 1.0],
+            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+            [(0.0, 1.0)],
+            [(0.0, 0.0), (0.5, math.nan), (1.0, 0.0)],
+            [(0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0)],
+            [(0.0, 0.0), (0.9, 0.0)],
+            [(0.1, 0.0), (1.0, 0.0)],
+        ],
+        ids=["1-d", "n-by-3", "single-row", "nan", "non-increasing", "short", "late-start"],
+    )
+    def test_same_messages_as_pairs(self, points):
+        messages = []
+        for given_points in (points, np.array(points)):
+            with pytest.raises(ValidationError) as info:
+                pwl(given_points)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            lambda f: pickle.loads(pickle.dumps(f)),
+            copy.deepcopy,
+            copy.copy,
+            lambda f: dataclasses.replace(f, promise=f.promise),
+        ],
+        ids=["pickle", "deepcopy", "copy", "replace"],
+    )
+    def test_round_trips_keep_integral_and_envelope(self, round_trip):
+        env = envelopes(Design((0.2, 0.5, 0.7)), DataVector((0.1, -0.1, 0.05)), 1.0)
+        upper, lower = round_trip(env.upper), round_trip(env.lower)
+        assert upper == env.upper and lower == env.lower
+        assert bits(upper._breakpoints) == bits(env.upper._breakpoints)
+        assert not upper._breakpoints.flags.writeable
+        assert exact_integral(upper).hex() == exact_integral(env.upper).hex()
+        assert interval_H(Envelope(upper=upper, lower=lower)) == interval_H(env)
+        f = round_trip(HAT)
+        assert f == HAT and exact_integral(f) == 0.25 and check_promise(f, f.promise, 2)
+
+
 class TestValidation:
     def test_breakpoints_must_start_at_zero(self):
         with pytest.raises(ValidationError):
@@ -212,6 +325,15 @@ class TestValidation:
     def test_negative_lipschitz_bound_rejected(self):
         with pytest.raises(ValidationError):
             Promise(-1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(0, 1, 2), (1, 2, 3)], [(0, "a"), (1, 2)], [(0, 10**400), (1, 2)]],
+        ids=["three-columns", "non-numeric", "int-overflow"],
+    )
+    def test_malformed_breakpoints_rejected(self, points):
+        with pytest.raises(ValidationError, match="^pwl breakpoints must be "):
+            pwl(points)
 
     def test_trig_needs_odd_coefficient_count(self):
         with pytest.raises(ValidationError):

@@ -647,3 +647,7 @@ class TestDesignValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             Design(())
+
+    def test_non_numeric_point_rejected(self):
+        with pytest.raises(ValidationError, match="^design points must be real numbers: "):
+            Design(("a",))

@@ -144,6 +144,14 @@ class TestGates:
         with pytest.raises(ValidationError):
             GateOp("swap", (1, 1))
 
+    def test_infinite_target_rejected(self):
+        with pytest.raises(ValidationError, match="^gate targets must be integers: "):
+            GateOp("X", (math.inf,))
+
+    def test_non_numeric_target_rejected(self):
+        with pytest.raises(ValidationError, match="^gate targets must be integers: "):
+            GateOp("X", ("a",))
+
     def test_target_out_of_range_rejected_at_apply(self):
         with pytest.raises(ValidationError):
             apply_gate(zero_state(1), GateOp("H", (1,)))
@@ -646,6 +654,14 @@ class TestAlgorithmValidation:
     def test_measure_in_range(self):
         with pytest.raises(ValidationError):
             AlgorithmSpec(2, None, ((),), (2,), AffineDecode(1.0, 0.0))
+
+    def test_infinite_measured_qubit_rejected(self):
+        with pytest.raises(ValidationError, match="^measured qubits must be integers: "):
+            AlgorithmSpec(1, None, ((),), (math.inf,), AffineDecode(1.0, 0.0))
+
+    def test_non_numeric_query_range_rejected(self):
+        with pytest.raises(ValidationError, match="^query range must be real numbers: "):
+            QuerySpec(1, 1, "a", 1.0)
 
     def test_query_required_when_layers_gap(self):
         with pytest.raises(ValidationError):
