@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, _real, _reals
 from .functions import FunctionSpec, Promise, exact_integral, negate, pwl
 from .information import Design, _spike, worst_radius
 
@@ -37,10 +37,8 @@ class FoolingPair:
     gap: float
 
     def __post_init__(self) -> None:
-        g = float(self.gap)
-        if not math.isfinite(g) or g < 0.0:
-            raise ValidationError(f"gap must be finite and >= 0, got {g!r}")
-        object.__setattr__(self, "gap", g)
+        gap = _real(self.gap, "gap must be finite and >= 0", at_least=0.0)
+        object.__setattr__(self, "gap", gap)
 
 
 @dataclass(frozen=True)
@@ -51,13 +49,11 @@ class Quadrature:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
+        ws = _reals(self.weights, "weights")
         if len(ws) != self.design.n:
             raise ValidationError(
                 f"{len(ws)} weights for a {self.design.n}-point design"
             )
-        if any(not math.isfinite(w) for w in ws):
-            raise ValidationError("weights must be finite")
         object.__setattr__(self, "weights", ws)
 
     def apply(self, values: tuple[float, ...]) -> float:
@@ -70,10 +66,7 @@ class Quadrature:
 
 
 def _fooling_bound(L: float) -> float:
-    L = float(L)
-    if not math.isfinite(L) or L <= 0.0:
-        raise ValidationError(f"fooling pairs need L > 0, got {L!r}")
-    return L
+    return _real(L, "fooling pairs need L > 0", above=0.0)
 
 
 def fooling_pair(d: Design, L: float) -> FoolingPair:

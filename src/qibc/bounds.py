@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .exceptions import CapacityError, PremiseViolationError, ValidationError
+from .exceptions import CapacityError, PremiseViolationError, ValidationError, _ints, _real, _reals
 from .functions import FunctionSpec, exact_integral
 from .information import m_eps, query_complexity
 from .simulator import AlgorithmSpec, OutcomeDistribution, _distributions
@@ -75,14 +75,14 @@ class OutcomeCluster:
     mass: float
 
     def __post_init__(self) -> None:
-        if not self.members:
+        members = _ints(self.members, "cluster members")
+        if not members:
             raise ValidationError("a cluster needs at least one member")
-        if len(set(self.members)) != len(self.members):
-            raise ValidationError(f"duplicate cluster members: {self.members}")
-        m = float(self.mass)
-        if not math.isfinite(m) or m < 0.0:
-            raise ValidationError(f"cluster mass must be finite and >= 0, got {m!r}")
-        object.__setattr__(self, "mass", m)
+        if len(set(members)) != len(members):
+            raise ValidationError(f"duplicate cluster members: {members}")
+        mass = _real(self.mass, "cluster mass must be finite and >= 0", at_least=0.0)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mass", mass)
 
 
 def local_error(dist: OutcomeDistribution, truth: float) -> float:
@@ -92,9 +92,7 @@ def local_error(dist: OutcomeDistribution, truth: float) -> float:
     accumulate probability until the threshold is reached, return the last
     included distance.
     """
-    truth = float(truth)
-    if not math.isfinite(truth):
-        raise ValidationError(f"truth must be finite, got {truth!r}")
+    truth = _real(truth, "truth must be finite")
     ranked = sorted(
         ((abs(truth - phi), j, p) for j, p, phi in dist.entries),
         key=lambda item: (item[0], item[1]),
@@ -115,9 +113,7 @@ def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
     enumeration — the oracle for :func:`local_error`. Capacity-capped at
     16 outcomes (65536 subsets).
     """
-    truth = float(truth)
-    if not math.isfinite(truth):
-        raise ValidationError(f"truth must be finite, got {truth!r}")
+    truth = _real(truth, "truth must be finite")
     M = len(dist.entries)
     if M > _SETFORM_CAP:
         raise CapacityError(
@@ -149,7 +145,7 @@ def worst_prob_error(
         raise ValidationError("the function family must be nonempty")
     if truths is None:
         truths = [exact_integral(f) for f in family]
-    truths = [float(v) for v in truths]
+    truths = _reals(truths, "truths")
     if len(truths) != len(family):
         raise ValidationError(
             f"{len(truths)} truths for a family of {len(family)} functions"
@@ -171,9 +167,7 @@ def best_cluster(dist: OutcomeDistribution, eps: float) -> OutcomeCluster:
     :class:`PremiseViolationError` when no window qualifies — the generating
     algorithm did not meet accuracy ``eps``.
     """
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+    eps = _real(eps, "eps must be finite and > 0", above=0.0)
     entries = _sorted_entries(dist)
     width = 2.0 * eps + _WIDTH_TOL
     best: tuple[float, int, int] | None = None  # (mass, left, right)
@@ -220,7 +214,8 @@ def extract(dist: OutcomeDistribution, eps: float) -> float:
 
 def qubit_lower_bound(L: float, eps: float, c: float = 1.0) -> float:
     """``log2(query_complexity(L, 3*eps, c)) - 1`` — the qubit lower bound."""
-    return math.log2(query_complexity(L, 3.0 * float(eps), c)) - 1.0
+    eps = _real(eps, "eps must be finite and > 0", above=0.0)
+    return math.log2(query_complexity(L, 3.0 * eps, c)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -268,16 +263,14 @@ def verify_bound(
     evaluations (the grid size ``n(eps)``), and the factor-2 accounting
     ``2 * n(eps) >= m(3*eps)`` is checked alongside.
     """
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+    rhs = qubit_lower_bound(L, eps, c)  # checks L, eps and c before any circuit runs
+    eps, L, c = float(eps), float(L), float(c)
     if a.query is None:
         raise ValidationError("verify_bound needs an algorithm with a query spec")
+    evals_needed = m_eps(L, 3.0 * eps)
     achieved = worst_prob_error(a, family, truths)
     status = "ok" if achieved <= eps + MASS_TOL else "not-applicable"
     n_eps = a.query.grid_points
-    rhs = qubit_lower_bound(L, eps, c)
-    evals_needed = m_eps(L, 3.0 * eps)
     return BoundReport(
         nu=a.nu,
         n_eps=n_eps,
@@ -287,8 +280,8 @@ def verify_bound(
         status=status,
         achieved_error=achieved,
         eps=eps,
-        L=float(L),
-        c=float(c),
+        L=L,
+        c=c,
         evals_available=2 * n_eps,
         evals_needed=evals_needed,
         evals_ok=2 * n_eps >= evals_needed,

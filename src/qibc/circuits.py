@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .adversary import fooling_pair
-from .exceptions import ValidationError
+from .exceptions import _int
 from .functions import FunctionSpec, constant, exact_integral
 from .information import m_eps, optimal_design
 from .simulator import (
@@ -106,22 +106,6 @@ def mcx_gates(controls: tuple[int, ...], target: int) -> tuple[GateOp, ...]:
     return (GateOp("mcx", tuple(controls) + (target,)),)
 
 
-class _LayerBuilder:
-    """Accumulates gates into layers; ``query()`` closes the current layer."""
-
-    def __init__(self) -> None:
-        self.layers: list[list[GateOp]] = [[]]
-
-    def gates(self, ops: tuple[GateOp, ...] | list[GateOp]) -> None:
-        self.layers[-1].extend(ops)
-
-    def query(self) -> None:
-        self.layers.append([])
-
-    def build(self) -> tuple[tuple[GateOp, ...], ...]:
-        return tuple(tuple(layer) for layer in self.layers)
-
-
 def _controlled_add_value(m_prime: int, m_double_prime: int) -> tuple[GateOp, ...]:
     """Gates adding the value register into the accumulator in place.
 
@@ -159,27 +143,22 @@ def midpoint_algorithm(
         range_lo=range_lo,
         range_hi=range_hi,
     )
+    m_prime, m_double_prime = query.m_prime, query.m_double_prime
     w = m_prime + m_double_prime
     adder = _controlled_add_value(m_prime, m_double_prime)
-    b = _LayerBuilder()
+    layers: list[list[GateOp]] = [[]]  # a query runs between each layer and the next
     prev = 0
     for j in range(query.grid_points):
         flips = prev ^ j
-        b.gates(
-            [
-                GateOp("X", (q,))
-                for q in range(m_prime)
-                if (flips >> (m_prime - 1 - q)) & 1
-            ]
-        )
+        layers[-1] += [
+            GateOp("X", (q,)) for q in range(m_prime) if (flips >> (m_prime - 1 - q)) & 1
+        ]
         prev = j
-        b.query()
-        b.gates(adder)
-        b.query()
+        layers += [list(adder), []]
     return AlgorithmSpec(
         nu=2 * w,
         query=query,
-        layers=b.build(),
+        layers=layers,
         measure=tuple(range(w, 2 * w)),
         decode=AffineDecode(
             scale=(query.range_hi - query.range_lo) / (1 << w), offset=query.range_lo
@@ -217,40 +196,37 @@ def build_ae_mean(
     :func:`midpoint_algorithm` it only builds the circuit; running it is
     subject to the qubit cap.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValidationError(f"readout size t must be a positive int, got {t!r}")
+    t = _int(t, "readout size t must be a positive int", 1)
     query = QuerySpec(
         m_prime=m_prime,
         m_double_prime=1,
         range_lo=range_lo,
         range_hi=range_hi,
     )
+    m_prime = query.m_prime
     index = tuple(range(m_prime))
     value = m_prime
     readout = tuple(range(m_prime + 1, m_prime + 1 + t))
 
-    b = _LayerBuilder()
-    b.gates([GateOp("H", (q,)) for q in index + readout])
+    layers: list[list[GateOp]] = [[GateOp("H", (q,)) for q in index + readout]]
     for k, r in enumerate(readout):
         for _ in range(1 << k):
             # controlled sign flip of marked grid points: Q, cZ(r, value), Q
-            b.query()
-            b.gates((GateOp("cphase", (r, value), theta=math.pi),))
-            b.query()
+            layers.append([GateOp("cphase", (r, value), theta=math.pi)])
             # controlled diffusion about the uniform index state
-            b.gates(
-                tuple(GateOp("H", (q,)) for q in index)
-                + tuple(GateOp("X", (q,)) for q in index)
-                + (GateOp("cphase", (r,) + index, theta=math.pi),)
-                + tuple(GateOp("X", (q,)) for q in index)
-                + tuple(GateOp("H", (q,)) for q in index)
-                + (GateOp("phase", (r,), theta=math.pi),)
+            layers.append(
+                [GateOp("H", (q,)) for q in index]
+                + [GateOp("X", (q,)) for q in index]
+                + [GateOp("cphase", (r,) + index, theta=math.pi)]
+                + [GateOp("X", (q,)) for q in index]
+                + [GateOp("H", (q,)) for q in index]
+                + [GateOp("phase", (r,), theta=math.pi)]
             )
-    b.gates(inverse_qft_gates(tuple(reversed(readout))))
+    layers[-1] += inverse_qft_gates(tuple(reversed(readout)))
     return AlgorithmSpec(
         nu=m_prime + 1 + t,
         query=query,
-        layers=b.build(),
+        layers=layers,
         measure=tuple(reversed(readout)),
         decode=Sin2Decode(),
     )

@@ -34,6 +34,7 @@ from .exceptions import (
     CapacityError,
     PremiseViolationError,
     ValidationError,
+    _reals,
 )
 from .functions import function_from_json, function_to_json
 from .information import (
@@ -119,22 +120,15 @@ def complexity_table_rows(
     Ls: tuple[float, ...], epss: tuple[float, ...], c: float
 ) -> list[tuple]:
     """Cross-product rows ``L, eps, m(eps), comp(eps), m(3 eps), qubit bound``."""
+    Ls, epss = _reals(Ls, "L values"), _reals(epss, "eps values")
     if not Ls or not epss:
         raise ValidationError("complexity tables need nonempty L and eps lists")
-    rows: list[tuple] = []
-    for L in Ls:
-        for eps in epss:
-            rows.append(
-                (
-                    float(L),
-                    float(eps),
-                    m_eps(L, eps),
-                    query_complexity(L, eps, c),
-                    m_eps(L, 3.0 * float(eps)),
-                    qubit_lower_bound(L, eps, c),
-                )
-            )
-    return rows
+    return [
+        (L, eps, m_eps(L, eps), query_complexity(L, eps, c), m_eps(L, 3.0 * eps),
+         qubit_lower_bound(L, eps, c))
+        for L in Ls
+        for eps in epss
+    ]
 
 
 def _cmd_complexity_table(ns: argparse.Namespace) -> None:
@@ -159,8 +153,7 @@ def _cmd_fooling_pair(ns: argparse.Namespace) -> None:
 def _cmd_foil(ns: argparse.Namespace) -> None:
     node = load_json_file(ns.quadrature)
     with reading(node, "quadrature", {"design", "weights"}):
-        design = Design(tuple(float(t) for t in node["design"]))
-        q = Quadrature(design=design, weights=tuple(float(w) for w in node["weights"]))
+        q = Quadrature(design=Design(node["design"]), weights=node["weights"])
     print(format_float(foil(q, ns.L)))
 
 

@@ -34,7 +34,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import _CONVERSION_ERRORS, DomainError, ValidationError, _int, _real, _reals
 from .serialize import reading
 
 __all__ = [
@@ -76,19 +76,13 @@ class Promise:
     range_hi: float
 
     def __post_init__(self) -> None:
-        for name in ("lipschitz_bound", "range_lo", "range_hi"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                raise ValidationError(f"promise field {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if self.lipschitz_bound < 0:
-            raise ValidationError(
-                f"lipschitz_bound must be nonnegative, got {self.lipschitz_bound}"
-            )
-        if not self.range_lo < self.range_hi:
-            raise ValidationError(
-                f"promise range must satisfy lo < hi, got [{self.range_lo}, {self.range_hi}]"
-            )
+        L = _real(self.lipschitz_bound, "lipschitz_bound must be nonnegative", at_least=0.0)
+        lo, hi = _reals((self.range_lo, self.range_hi), "promise range")
+        if not lo < hi:
+            raise ValidationError(f"promise range must satisfy lo < hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lipschitz_bound", L)
+        object.__setattr__(self, "range_lo", lo)
+        object.__setattr__(self, "range_hi", hi)
 
 
 @dataclass(frozen=True)
@@ -117,20 +111,19 @@ class FunctionSpec:
         elif self.family == "constant":
             if self.value is None or self.points is not None or self.coefficients is not None:
                 raise ValidationError("constant functions take exactly the 'value' parameter")
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ValidationError(f"constant value must be finite, got {v!r}")
-            object.__setattr__(self, "value", v)
+            object.__setattr__(self, "value", _real(self.value, "constant value must be finite"))
         elif self.family == "trig":
             if self.coefficients is None or self.points is not None or self.value is not None:
                 raise ValidationError("trig functions take exactly the 'coefficients' parameter")
-            cs = tuple(float(c) for c in self.coefficients)
+            cs = _reals(self.coefficients, "trig coefficients")
             if len(cs) % 2 != 1:
                 raise ValidationError(
                     "trig coefficient list must have odd length [c0, a1, b1, ...]"
                 )
-            if any(not math.isfinite(c) for c in cs):
-                raise ValidationError("trig coefficients must be finite")
+            try:  # bounds every evaluation's fsum, so none can overflow
+                math.fsum(map(abs, cs))
+            except OverflowError:
+                raise ValidationError("trig coefficient magnitudes overflow a float sum") from None
             object.__setattr__(self, "coefficients", cs)
         else:
             raise ValidationError(
@@ -149,7 +142,7 @@ def _breakpoint_array(points: Any) -> np.ndarray:
     try:
         xy = np.array(points if isinstance(points, np.ndarray) else list(points),
                       dtype=float, ndmin=1)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"pwl breakpoints must be pairs of real numbers: {exc}") from exc
     if len(xy) < 2:
         raise ValidationError("pwl needs at least 2 breakpoints")
@@ -185,7 +178,7 @@ def constant(value: float, promise: Promise | None = None) -> FunctionSpec:
 
 def trig(coefficients: Iterable[float], promise: Promise | None = None) -> FunctionSpec:
     """Trigonometric polynomial from the flat list ``[c0, a1, b1, ...]``."""
-    return FunctionSpec(family="trig", coefficients=tuple(coefficients), promise=promise)
+    return FunctionSpec(family="trig", coefficients=coefficients, promise=promise)
 
 
 def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the public API
@@ -195,7 +188,10 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     call. Exact at pwl breakpoints: evaluating at a breakpoint returns its
     stored ``y`` bitwise, never a reinterpolation.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"evaluation point must be a real number: {exc}") from exc
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"evaluation point {x!r} outside [0, 1]")
     if f.family == "constant":
@@ -272,8 +268,7 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
     comparison allows the documented slack factor 1.01 because grid
     difference quotients only ever underestimate the true constant.
     """
-    if not isinstance(grid_size, int) or grid_size < 2:
-        raise ValidationError(f"grid_size must be an int >= 2, got {grid_size!r}")
+    grid_size = _int(grid_size, "grid_size must be an int >= 2", 2)
     L = p.lipschitz_bound
     if f.family == "constant":
         return p.range_lo <= f.value <= p.range_hi  # type: ignore[operator]
@@ -317,7 +312,7 @@ def promise_to_json(p: Promise) -> dict[str, Any]:
 def promise_from_json(node: Any) -> Promise:
     with reading(node, "promise", {"L", "range"}):
         lo, hi = node["range"]
-        return Promise(float(node["L"]), float(lo), float(hi))
+        return Promise(node["L"], lo, hi)
 
 
 def function_to_json(f: FunctionSpec) -> dict[str, Any]:
@@ -338,9 +333,9 @@ def function_from_json(node: Any) -> FunctionSpec:
         family = node.get("family")
         promise = promise_from_json(node["promise"]) if "promise" in node else None
         if family == "pwl":
-            return pwl([(float(x), float(y)) for x, y in node["points"]], promise)
+            return pwl(node["points"], promise)
         if family == "constant":
-            return constant(float(node["value"]), promise)
+            return constant(node["value"], promise)
         if family == "trig":
-            return trig([float(c) for c in node["coefficients"]], promise)
+            return trig(node["coefficients"], promise)
         raise ValidationError(f"unknown family {family!r}; expected pwl | constant | trig")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapacityError, InfeasibleDataError, ValidationError
+from .exceptions import CapacityError, InfeasibleDataError, ValidationError, _int, _real, _reals
 from .functions import FunctionSpec, _eval_pwl, eval as feval, exact_integral, pwl
 
 __all__ = [
@@ -74,14 +74,11 @@ class Design:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            pts = tuple(float(t) for t in self.points)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"design points must be real numbers: {exc}") from exc
+        pts = _reals(self.points, "design points")
         if len(pts) < 1:
             raise ValidationError("a design needs at least one point")
         for t in pts:
-            if not math.isfinite(t) or not 0.0 <= t <= 1.0:
+            if not 0.0 <= t <= 1.0:
                 raise ValidationError(f"design point {t!r} outside [0, 1]")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValidationError("design points must be strictly increasing")
@@ -99,11 +96,9 @@ class DataVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = _reals(self.values, "data values")
         if len(vals) < 1:
             raise ValidationError("a data vector needs at least one value")
-        if any(not math.isfinite(v) for v in vals):
-            raise ValidationError("data values must be finite")
         object.__setattr__(self, "values", vals)
 
 
@@ -147,9 +142,7 @@ class RadiusReport:
 
     def __post_init__(self) -> None:
         for name in ("h_lo", "h_hi", "radius", "center"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"radius report field {name} must be finite")
+            v = _real(getattr(self, name), f"radius report field {name} must be finite")
             object.__setattr__(self, name, v)
         if self.h_lo > self.h_hi:
             raise ValidationError(f"interval endpoints out of order: [{self.h_lo}, {self.h_hi}]")
@@ -388,10 +381,7 @@ def interval_H(e: Envelope) -> RadiusReport:
 
 
 def _lipschitz_bound(L: float) -> float:
-    L = float(L)
-    if not math.isfinite(L) or L < 0.0:
-        raise ValidationError(f"Lipschitz bound must be finite and >= 0, got {L!r}")
-    return L
+    return _real(L, "Lipschitz bound must be finite and >= 0", at_least=0.0)
 
 
 def _spike(d: Design, L: float) -> np.ndarray:
@@ -416,8 +406,7 @@ def worst_radius(d: Design, L: float) -> float:
 
 def optimal_design(n: int) -> Design:
     """The midpoint design ``t_i = (2i - 1)/(2n)``, radius-optimal at L/(4n)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"design size must be a positive int, got {n!r}")
+    n = _int(n, "design size must be a positive int", 1)
     return Design(tuple((2 * i - 1) / (2 * n) for i in range(1, n + 1)))
 
 
@@ -431,12 +420,8 @@ def m_eps(L: float, eps: float) -> int:
     consecutive integers are no longer distinct floats, so the bracket
     cannot be checked.
     """
-    L = float(L)
-    eps = float(eps)
-    if not math.isfinite(L) or L <= 0.0:
-        raise ValidationError(f"L must be finite and > 0, got {L!r}")
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+    L = _real(L, "L must be finite and > 0", above=0.0)
+    eps = _real(eps, "eps must be finite and > 0", above=0.0)
     ratio = L / (4.0 * eps)
     if not ratio <= 2.0**53:
         raise CapacityError(
@@ -453,7 +438,5 @@ def m_eps(L: float, eps: float) -> int:
 
 def query_complexity(L: float, eps: float, c: float = 1.0) -> float:
     """Classical query complexity ``c * m_eps(L, eps)`` at per-query cost ``c``."""
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValidationError(f"query cost c must be finite and > 0, got {c!r}")
+    c = _real(c, "query cost c must be finite and > 0", above=0.0)
     return c * m_eps(L, eps)

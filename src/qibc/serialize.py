@@ -30,7 +30,7 @@ import json
 import math
 from typing import Any
 
-from .exceptions import ValidationError
+from .exceptions import _CONVERSION_ERRORS, ValidationError
 
 __all__ = [
     "format_float",
@@ -129,7 +129,7 @@ class reading:
         pass
 
     def __exit__(self, kind: Any, exc: Any, tb: Any) -> None:
-        bad = (KeyError, TypeError, ValueError, OverflowError)
+        bad = (KeyError, *_CONVERSION_ERRORS)
         if isinstance(exc, bad) and not isinstance(exc, ValidationError):
             raise ValidationError(f"malformed {self.what}: {exc}") from exc
 

@@ -63,7 +63,9 @@ from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .exceptions import CapacityError, ValidationError
+from .exceptions import (
+    _CONVERSION_ERRORS, CapacityError, ValidationError, _int, _ints, _real, _reals,
+)
 from .functions import FunctionSpec, eval as feval
 from .serialize import read_csv, reading, render_csv
 
@@ -116,11 +118,11 @@ _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt
 # state
 
 
-def _check_width(nu: Any) -> None:
-    if not isinstance(nu, int) or nu < 1:
-        raise ValidationError(f"qubit count must be a positive int, got {nu!r}")
+def _check_width(nu: Any) -> int:
+    nu = _int(nu, "qubit count must be a positive int", 1)
     if nu > MAX_QUBITS:
         raise CapacityError(f"nu={nu} exceeds the {MAX_QUBITS}-qubit cap")
+    return nu
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class QState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_width(self.nu)
+        object.__setattr__(self, "nu", _check_width(self.nu))
         self._seal(np.array(self.amplitudes, dtype=np.complex128))
 
     @classmethod
@@ -157,7 +159,7 @@ class QState:
 
 def zero_state(nu: int) -> QState:
     """The all-zeros computational basis state on ``nu`` qubits."""
-    _check_width(nu)
+    nu = _check_width(nu)
     amps = np.zeros(1 << nu, dtype=np.complex128)
     amps[0] = 1.0
     return QState._owning(nu, amps)
@@ -167,22 +169,16 @@ def zero_state(nu: int) -> QState:
 # gates
 
 
-def _qubits(indices: Any, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in indices)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be integers: {exc}") from exc
-
-
 def _as_matrix_tuple(matrix: Any) -> tuple[tuple[complex, ...], ...]:
-    rows = tuple(tuple(complex(v) for v in row) for row in matrix)
+    try:
+        rows = tuple(tuple(map(complex, row)) for row in matrix)
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"matrix entries must be complex numbers: {exc}") from exc
     n = len(rows)
     if n not in (2, 4) or any(len(r) != n for r in rows):
         raise ValidationError("explicit matrices must be 2x2 or 4x4")
-    for row in rows:
-        for v in row:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValidationError("matrix entries must be finite")
+    if not all(cmath.isfinite(v) for row in rows for v in row):
+        raise ValidationError("matrix entries must be finite")
     return rows
 
 
@@ -207,7 +203,7 @@ class GateOp:
             raise ValidationError(
                 f"unknown gate {self.gate!r}; expected one of {', '.join(_GATE_KINDS)}"
             )
-        tg = _qubits(self.targets, "gate targets")
+        tg = _ints(self.targets, "gate targets")
         if len(set(tg)) != len(tg):
             raise ValidationError(f"duplicate targets in {tg}")
         if any(t < 0 for t in tg):
@@ -218,9 +214,8 @@ class GateOp:
         if not arity[0] <= len(tg) <= arity[1]:
             raise ValidationError(f"{self.gate} gate on {len(tg)} targets")
         if self.gate in ("phase", "cphase"):
-            if self.theta is None or not math.isfinite(float(self.theta)):
-                raise ValidationError(f"{self.gate} needs a finite theta")
-            object.__setattr__(self, "theta", float(self.theta))
+            theta = _real(self.theta, f"{self.gate} needs a finite theta")
+            object.__setattr__(self, "theta", theta)
         elif self.theta is not None:
             raise ValidationError(f"{self.gate} takes no theta")
         if self.gate == "unitary":
@@ -315,14 +310,10 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         for name in ("m_prime", "m_double_prime"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive int, got {v!r}")
-        try:
-            lo, hi = float(self.range_lo), float(self.range_hi)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"query range must be real numbers: {exc}") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            v = _int(getattr(self, name), f"{name} must be a positive int", 1)
+            object.__setattr__(self, name, v)
+        lo, hi = _reals((self.range_lo, self.range_hi), "query range")
+        if not lo < hi:
             raise ValidationError(f"query range must satisfy lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
@@ -340,7 +331,8 @@ class QuerySpec:
 def tau_point(j: int, q: QuerySpec) -> float:
     """Grid point for index ``j``: midpoint ``(2j+1)/2^{m'+1}`` or ``j/2^{m'}``."""
     n = q.grid_points
-    if not 0 <= j < n:
+    j = _int(j, "grid index must be a nonnegative int", 0)
+    if j >= n:
         raise ValidationError(f"index {j} outside the 2^m' grid of {n} points")
     if q.tau_rule == "midpoint":
         return (2 * j + 1) / (2 * n)
@@ -349,9 +341,9 @@ def tau_point(j: int, q: QuerySpec) -> float:
 
 def beta_code(y: float, q: QuerySpec) -> int:
     """The ``m''`` most significant bits of ``y`` within the promised range."""
-    span = q.range_hi - q.range_lo
-    code = math.floor((float(y) - q.range_lo) / span * (1 << q.m_double_prime))
-    return max(0, min((1 << q.m_double_prime) - 1, code))
+    codes = 1 << q.m_double_prime
+    v = (_real(y, "function value must be finite") - q.range_lo) / (q.range_hi - q.range_lo)
+    return math.floor(min(codes - 1, max(0.0, v * codes)))  # clamped before floor sees an inf
 
 
 def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
@@ -402,11 +394,9 @@ class AffineDecode:
     offset: float
 
     def __post_init__(self) -> None:
-        s, o = float(self.scale), float(self.offset)
-        if not (math.isfinite(s) and math.isfinite(o)):
-            raise ValidationError("decode scale/offset must be finite")
-        object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "offset", o)
+        for name in ("scale", "offset"):
+            v = _real(getattr(self, name), f"decode {name} must be finite")
+            object.__setattr__(self, name, v)
 
     def phi(self, j: int, modulus: int) -> float:
         return self.scale * j + self.offset
@@ -439,8 +429,7 @@ class AlgorithmSpec:
     decode: Decode
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nu, int) or self.nu < 1:
-            raise ValidationError(f"nu must be a positive int, got {self.nu!r}")
+        object.__setattr__(self, "nu", _int(self.nu, "nu must be a positive int", 1))
         layers = tuple(tuple(layer) for layer in self.layers)
         if len(layers) < 1:
             raise ValidationError("an algorithm needs at least the layer U_0")
@@ -462,7 +451,7 @@ class AlgorithmSpec:
                 )
         elif len(layers) > 1:
             raise ValidationError("algorithms with queries need a query spec")
-        meas = _qubits(self.measure, "measured qubits")
+        meas = _ints(self.measure, "measured qubits")
         if len(meas) < 1:
             raise ValidationError("measurement list must be nonempty")
         if len(set(meas)) != len(meas):
@@ -530,27 +519,24 @@ class OutcomeDistribution:
     entries: tuple[tuple[int, float, float], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            (int(j), float(p), float(phi)) for j, p, phi in self.entries
-        )
-        if not entries:
-            raise ValidationError("a distribution needs at least one outcome")
-        seen = set()
-        total = []
-        for j, p, phi in entries:
-            if j in seen:
-                raise ValidationError(f"duplicate outcome index {j}")
-            seen.add(j)
-            if not math.isfinite(p) or p < 0.0:
-                raise ValidationError(f"probability of outcome {j} is {p!r}")
-            if not math.isfinite(phi):
-                raise ValidationError(f"decoded value of outcome {j} is {phi!r}")
-            total.append(p)
-        if abs(math.fsum(total) - 1.0) > NORM_TOL:
+        try:  # one column each of indices, probabilities and decoded values
+            js, ps, phis = zip(*self.entries, strict=True)
+        except _CONVERSION_ERRORS as exc:
             raise ValidationError(
-                f"probabilities sum to {math.fsum(total)!r}, expected 1"
-            )
-        object.__setattr__(self, "entries", entries)
+                f"a distribution needs at least one (j, p, phi) outcome: {exc}"
+            ) from exc
+        js = _ints(js, "outcome indices")
+        ps = _reals(ps, "outcome probabilities")
+        phis = _reals(phis, "decoded values")
+        if len(set(js)) != len(js):
+            j = next(j for j in js if js.count(j) > 1)
+            raise ValidationError(f"duplicate outcome index {j}")
+        if min(ps) < 0.0:
+            j, p = next((j, p) for j, p in zip(js, ps) if p < 0.0)
+            raise ValidationError(f"probability of outcome {j} is {p!r}")
+        if abs(math.fsum(ps) - 1.0) > NORM_TOL:
+            raise ValidationError(f"probabilities sum to {math.fsum(ps)!r}, expected 1")
+        object.__setattr__(self, "entries", tuple(zip(js, ps, phis)))
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
@@ -636,15 +622,12 @@ def gate_to_json(g: GateOp) -> dict[str, Any]:
 def gate_from_json(node: Any) -> GateOp:
     with reading(node, "gate", {"gate", "targets", "theta", "matrix"}):
         matrix = None
-        if "matrix" in node:
-            matrix = tuple(
-                tuple(complex(float(re), float(im)) for re, im in row)
-                for row in node["matrix"]
-            )
+        if "matrix" in node:  # each entry is stored as its [re, im] pair
+            matrix = [[complex(re, im) for re, im in row] for row in node["matrix"]]
         return GateOp(
             gate=node["gate"],
-            targets=tuple(int(t) for t in node["targets"]),
-            theta=float(node["theta"]) if "theta" in node else None,
+            targets=node["targets"],
+            theta=node.get("theta"),
             matrix=matrix,
         )
 
@@ -662,10 +645,10 @@ def _query_from_json(node: Any) -> QuerySpec:
     with reading(node, "query", {"m_prime", "m_double_prime", "range", "tau_rule"}):
         lo, hi = node["range"]
         return QuerySpec(
-            m_prime=int(node["m_prime"]),
-            m_double_prime=int(node["m_double_prime"]),
-            range_lo=float(lo),
-            range_hi=float(hi),
+            m_prime=node["m_prime"],
+            m_double_prime=node["m_double_prime"],
+            range_lo=lo,
+            range_hi=hi,
             tau_rule=node.get("tau_rule", "midpoint"),
         )
 
@@ -681,7 +664,7 @@ def _decode_from_json(node: Any) -> Decode:
     with reading(node, "decode", {"kind"} if sin2 else {"scale", "offset"}):
         if sin2:
             return Sin2Decode()
-        return AffineDecode(scale=float(node["scale"]), offset=float(node["offset"]))
+        return AffineDecode(scale=node["scale"], offset=node["offset"])
 
 
 def algorithm_to_json(a: AlgorithmSpec) -> dict[str, Any]:
@@ -698,12 +681,12 @@ def algorithm_from_json(node: Any) -> AlgorithmSpec:
     with reading(node, "algorithm", {"nu", "query", "layers", "measure", "decode"}):
         query = node.get("query")
         return AlgorithmSpec(
-            nu=int(node["nu"]),
+            nu=node["nu"],
             query=None if query is None else _query_from_json(query),
             layers=tuple(
                 tuple(gate_from_json(g) for g in layer) for layer in node["layers"]
             ),
-            measure=tuple(int(t) for t in node["measure"]),
+            measure=node["measure"],
             decode=_decode_from_json(node["decode"]),
         )
 

@@ -254,6 +254,15 @@ class TestSimulate:
         bad.write_text('{"nu": 2}')
         assert run_cli(capsys, "simulate", "--alg", str(bad), "--f", str(f_path))[0] == 2
 
+    def test_value_far_above_the_range_exits_0(self, capsys, tmp_path):
+        alg_path, f_path = tmp_path / "alg.json", tmp_path / "f.json"
+        dump_json_file(str(alg_path), algorithm_to_json(midpoint_algorithm(1, 2, 0.0, 1.0)))
+        dump_json_file(str(f_path), function_to_json(constant(1e308)))
+        code, out, _ = run_cli(capsys, "simulate", "--alg", str(alg_path), "--f", str(f_path))
+        assert code == 0
+        # both grid points take the top code 2^m'' - 1 = 3, so the sum is 6
+        assert out.splitlines()[7] == "6,1.0,0.75"
+
 
 class TestErrorAndExtract:
     @pytest.fixture
@@ -424,6 +433,10 @@ class TestUnreadableInputExits2:
         (tmp_path / "utf16.csv").write_text("j,p,phi\n0,1.0,0.0\n", encoding="utf-16")
         (tmp_path / "utf16.json").write_text('{"nu": 2}', encoding="utf-16")
         (tmp_path / "design_a.json").write_text('{"design": ["a"], "weights": [1.0]}')
+        (tmp_path / "fractional.json").write_text(json.dumps({  # int() would truncate these
+            "nu": 2.7, "query": None, "layers": [[{"gate": "X", "targets": [0.9]}]],
+            "measure": [1.5, 0.2], "decode": {"scale": 1.0, "offset": 0.0},
+        }))
         (tmp_path / "weights_x.json").write_text('{"design": [0.5], "weights": ["x"]}')
         (tmp_path / "adir").mkdir()
         (tmp_path / "deep.json").write_text("[" * 200_000)
@@ -450,11 +463,12 @@ class TestUnreadableInputExits2:
             ("simulate", "--alg", "{d}/deep.json", "--f", "{f}"),
             ("simulate", "--alg", "{d}/nu_inf.json", "--f", "{f}"),
             ("simulate", "--alg", "{d}/targets_inf.json", "--f", "{f}"),
+            ("simulate", "--alg", "{d}/fractional.json", "--f", "{f}"),
         ],
         ids=["missing-csv", "directory-csv", "utf16-csv", "utf16-json",
              "non-numeric-design", "non-numeric-weights", "non-numeric-nu",
              "non-numeric-measure", "non-numeric-decode-scale", "deeply-nested-json",
-             "infinite-nu", "infinite-target"],
+             "infinite-nu", "infinite-target", "fractional-indices"],
     )
     def test_exit_2_without_traceback(self, files, argv):
         d, f = files

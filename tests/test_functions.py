@@ -339,6 +339,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             trig((0.0, 1.0), Promise(10.0, -2.0, 2.0))
 
+    def test_trig_whose_magnitudes_overflow_a_sum_rejected(self):
+        # eval's fsum of such terms would raise a bare OverflowError
+        with pytest.raises(ValidationError, match="^trig coefficient magnitudes overflow"):
+            trig((1e308, 1e308, 0.0))
+
 
 class TestJson:
     def test_round_trip_pwl(self):

@@ -216,7 +216,17 @@ class TestJsonReaderErrors:
             function_from_json({"family": "trig", "points": points})
         assert str(exc.value) == "malformed function: 'coefficients'"
 
+    @pytest.mark.parametrize(
+        "what, key, value",
+        [("algorithm", "nu", 1.5), ("algorithm", "measure", [0.5]), ("gate", "targets", [0.9]),
+         ("query", "m_prime", 1.5), ("query", "m_double_prime", 1.5)],
+    )
+    def test_fractional_integer_field_rejected(self, what, key, value):
+        # int() would truncate these to a different, valid document
+        with pytest.raises(ValidationError, match=r"must be (a positive int|integers)"):
+            _READERS[what](dict(_VALID_DOCS[what], **{key: value}))
+
     def test_overflow_is_malformed(self):
         with pytest.raises(ValidationError) as exc:
             algorithm_from_json(dict(_VALID_DOCS["algorithm"], nu=math.inf))
-        assert str(exc.value) == "malformed algorithm: cannot convert float infinity to integer"
+        assert str(exc.value) == "nu must be a positive int, got inf"

@@ -306,6 +306,9 @@ class TestTauBeta:
         q = QuerySpec(1, 3, 0.0, 1.0, "midpoint")
         assert beta_code(1.0, q) == 7
         assert beta_code(0.0, q) == 0
+        # (y - lo) / span * 2^m'' overflows to an infinity before the clamp
+        assert beta_code(1e308, q) == 7
+        assert beta_code(-1e308, q) == 0
 
     def test_beta_monotone(self):
         q = QuerySpec(1, 4, -1.0, 1.0, "midpoint")
