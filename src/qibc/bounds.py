@@ -90,20 +90,17 @@ def local_error(dist: OutcomeDistribution, truth: float) -> float:
 
     Greedy: sort outcomes by distance to the truth (ties by outcome index),
     accumulate probability until the threshold is reached, return the last
-    included distance.
+    included distance. ``cumsum`` adds in order, so every partial mass is
+    bitwise the running sum of a scalar loop.
     """
     truth = _real(truth, "truth must be finite")
-    ranked = sorted(
-        ((abs(truth - phi), j, p) for j, p, phi in dist.entries),
-        key=lambda item: (item[0], item[1]),
-    )
-    mass = 0.0
-    for dist_j, _, p in ranked:
-        mass += p
-        if mass >= MASS_THRESHOLD - MASS_TOL:
-            return dist_j
-    # unreachable: the distribution sums to 1 >= 3/4
-    raise AssertionError("distribution mass below 3/4")
+    d = np.abs(truth - dist.phi)
+    order = np.lexsort((dist.j, d))
+    reached = np.cumsum(dist.p[order]) >= MASS_THRESHOLD - MASS_TOL
+    k = int(np.argmax(reached))
+    if not reached[k]:  # unreachable: the distribution sums to 1 >= 3/4
+        raise AssertionError("distribution mass below 3/4")
+    return float(d[order[k]])
 
 
 def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
@@ -114,14 +111,14 @@ def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
     16 outcomes (65536 subsets).
     """
     truth = _real(truth, "truth must be finite")
-    M = len(dist.entries)
+    M = len(dist.j)
     if M > _SETFORM_CAP:
         raise CapacityError(
             f"set form enumerates 2^M subsets; M={M} exceeds {_SETFORM_CAP}"
             " (use local_error instead)"
         )
-    p = np.array([e[1] for e in dist.entries])
-    d = np.array([abs(truth - e[2]) for e in dist.entries])
+    p = dist.p
+    d = np.abs(truth - dist.phi)
     masks = (np.arange(1 << M)[:, None] >> np.arange(M)[None, :]) & 1
     mass = masks @ p
     worst = np.max(np.where(masks.astype(bool), d[None, :], -np.inf), axis=1)
@@ -150,33 +147,23 @@ def worst_prob_error(
         raise ValidationError(
             f"{len(truths)} truths for a family of {len(family)} functions"
         )
-    dists = _distributions(a, family)  # the circuit compiles once for the whole family
+    dists = _distributions(a, family)  # the circuit compiles once per AlgorithmSpec
     return max(0.0, *(local_error(d, truth) for d, truth in zip(dists, truths)))
 
 
-def _sorted_entries(dist: OutcomeDistribution) -> list[tuple[float, float, int]]:
-    """Entries as (phi, p, j), sorted by phi then j."""
-    return sorted(((phi, p, j) for j, p, phi in dist.entries), key=lambda e: (e[0], e[2]))
-
-
-def best_cluster(dist: OutcomeDistribution, eps: float) -> OutcomeCluster:
-    """Heaviest cluster of decoded-value width <= 2*eps and mass >= 3/4.
-
-    Slides a window over outcomes sorted by decoded value; among qualifying
-    windows the maximal mass wins, ties going to the leftmost. Raises
-    :class:`PremiseViolationError` when no window qualifies — the generating
-    algorithm did not meet accuracy ``eps``.
-    """
+def _window(dist: OutcomeDistribution, eps: float) -> np.ndarray:
+    """Rows of the heaviest qualifying window, in order of decoded value then ``j``."""
     eps = _real(eps, "eps must be finite and > 0", above=0.0)
-    entries = _sorted_entries(dist)
+    order = np.lexsort((dist.j, dist.phi))
+    phis, ps = dist.phi[order].tolist(), dist.p[order].tolist()
     width = 2.0 * eps + _WIDTH_TOL
     best: tuple[float, int, int] | None = None  # (mass, left, right)
     mass = 0.0
     left = 0
-    for right, (phi_r, p_r, _) in enumerate(entries):
+    for right, (phi_r, p_r) in enumerate(zip(phis, ps)):
         mass += p_r
-        while phi_r - entries[left][0] > width:
-            mass -= entries[left][1]
+        while phi_r - phis[left] > width:
+            mass -= ps[left]
             left += 1
         if mass >= MASS_THRESHOLD - MASS_TOL:
             if best is None or mass > best[0] + MASS_TOL:
@@ -187,9 +174,20 @@ def best_cluster(dist: OutcomeDistribution, eps: float) -> OutcomeCluster:
             "the algorithm does not meet accuracy eps"
         )
     _, left, right = best
-    members = tuple(entries[i][2] for i in range(left, right + 1))
-    mass = math.fsum(entries[i][1] for i in range(left, right + 1))
-    return OutcomeCluster(members=members, mass=mass)
+    return order[left:right + 1]
+
+
+def best_cluster(dist: OutcomeDistribution, eps: float) -> OutcomeCluster:
+    """Heaviest cluster of decoded-value width <= 2*eps and mass >= 3/4.
+
+    Slides a window over outcomes sorted by decoded value; among qualifying
+    windows the maximal mass wins, ties going to the leftmost. Raises
+    :class:`PremiseViolationError` when no window qualifies — the generating
+    algorithm did not meet accuracy ``eps``.
+    """
+    rows = _window(dist, eps)
+    return OutcomeCluster(members=tuple(dist.j[rows].tolist()),
+                          mass=math.fsum(dist.p[rows].tolist()))
 
 
 def extract(dist: OutcomeDistribution, eps: float) -> float:
@@ -199,17 +197,8 @@ def extract(dist: OutcomeDistribution, eps: float) -> float:
     member (ties: smallest decoded value). Deterministic: identical inputs
     yield bitwise-identical outputs.
     """
-    cluster = best_cluster(dist, eps)
-    by_j = {j: (p, phi) for j, p, phi in dist.entries}
-    best_phi: float | None = None
-    best_p = -1.0
-    for j in cluster.members:
-        p, phi = by_j[j]
-        if p > best_p or (p == best_p and (best_phi is None or phi < best_phi)):
-            best_p = p
-            best_phi = phi
-    assert best_phi is not None
-    return best_phi
+    rows = _window(dist, eps)  # sorted by decoded value, so argmax's first maximum breaks ties
+    return float(dist.phi[rows[np.argmax(dist.p[rows])]])
 
 
 def qubit_lower_bound(L: float, eps: float, c: float = 1.0) -> float:

@@ -154,6 +154,13 @@ def _breakpoint_array(points: Any) -> np.ndarray:
         raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
     if (xy[1:, 0] <= xy[:-1, 0]).any():
         raise ValidationError("pwl breakpoint x-values must be strictly increasing")
+    with np.errstate(over="ignore"):
+        rise = np.isfinite(np.diff(xy[:, 1]))
+    if not rise.all():  # eval interpolates with y1 - y0
+        (x0, y0), (x1, y1) = xy[np.argmin(rise):][:2].tolist()
+        raise ValidationError(
+            f"pwl ordinate difference overflows between ({x0!r}, {y0!r}) and ({x1!r}, {y1!r})"
+        )
     x0, x1 = xy[[0, -1], 0].tolist()
     if x0 != 0.0 or x1 != 1.0:
         raise ValidationError(f"pwl breakpoints must span [0, 1] exactly, got [{x0}, {x1}]")

@@ -44,13 +44,19 @@ distribution, and it takes one of two paths. When every gate is X, ``mcx``,
 swap, phase or cphase (every midpoint circuit and bound fixture), the circuit
 is a classical reversible computation: ``|0...0>`` stays one basis state times
 a phase, which never changes an outcome probability, so the state is one int
-label. Its layers are compiled once per algorithm into ``(control_mask,
-flip_mask)`` pairs: X is ``(0, bit)``, ``mcx`` its controls and target, swap
-three controlled flips, and phase and cphase drop out. A query XORs
-``beta(f(tau(j)))`` into the value bits, and a function family (as in
-``bounds.worst_prob_error``) shares one compile. Any other circuit runs on the
-dense vector, ``measure(run(a, f), a)``, the label path's test oracle. Both
-paths keep the 20-qubit cap and raise the same errors.
+label. Its layers are compiled into ``(control_mask, flip_mask)`` pairs: X is
+``(0, bit)``, ``mcx`` its controls and target, swap three controlled flips,
+and phase and cphase drop out. A query XORs ``beta(f(tau(j)))`` into the value
+bits. Any other circuit runs on the dense vector, ``measure(run(a, f), a)``,
+the label path's test oracle. Both paths keep the 20-qubit cap and raise the
+same errors.
+
+The compiled layers, with the outcome columns ``j`` and ``phi(j)``, are the
+algorithm's *program*: compiled once per ``AlgorithmSpec``, on first use,
+kept on the instance, so a function family (as in
+``bounds.worst_prob_error``) and every later call on the same algorithm run
+from that one compile. An :class:`OutcomeDistribution` holds its outcomes as
+those three read-only columns, ``j``, ``p`` and ``phi``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence, Union
+from functools import cached_property
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -315,6 +322,8 @@ class QuerySpec:
         lo, hi = _reals((self.range_lo, self.range_hi), "query range")
         if not lo < hi:
             raise ValidationError(f"query range must satisfy lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):  # beta_code divides by the width
+            raise ValidationError(f"query range width must be finite, got [{lo}, {hi}]")
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
         if self.tau_rule not in _TAU_RULES:
@@ -413,6 +422,14 @@ class Sin2Decode:
 Decode = Union[AffineDecode, Sin2Decode]
 
 
+class _Program(NamedTuple):
+    """What every run of one algorithm shares (see :attr:`AlgorithmSpec._program`)."""
+
+    layers: list[list[tuple[int, int]]] | None  # the compiled label layers; None runs dense
+    j: np.ndarray  # outcome indices 0..M-1, read-only int64
+    phi: np.ndarray  # decode.phi(j, M) for each j, read-only float64
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Layers ``U_0..U_T`` with ``T`` interleaved queries, then a measurement.
@@ -420,6 +437,10 @@ class AlgorithmSpec:
     ``layers`` has ``T + 1`` entries; a query runs after every layer but the
     last. ``measure`` lists the output-register qubits most-significant-first;
     outcomes are integers ``j`` in ``[0, 2^{len(measure)})``.
+
+    Its program (compiled label layers and outcome columns) is built once per
+    instance, on first use, and kept on the instance; it is not a field, so
+    equality, hashing, ``repr`` and JSON see the fields alone.
     """
 
     nu: int
@@ -480,11 +501,29 @@ class AlgorithmSpec:
     def decode_outcome(self, j: int) -> float:
         return self.decode.phi(j, self.outcome_count)
 
+    @cached_property
+    def _program(self) -> _Program:
+        """The compiled layers (None for a dense circuit) and the ``j`` and ``phi`` columns.
+
+        Past the qubit cap it raises :class:`CapacityError` before compiling.
+        """
+        _check_cap(self)
+        M = self.outcome_count
+        j = np.arange(M, dtype=np.int64)
+        phi = np.array([self.decode.phi(k, M) for k in range(M)], dtype=np.float64)
+        j.flags.writeable = phi.flags.writeable = False
+        label = all(g.gate in _LABEL_KINDS for layer in self.layers for g in layer)
+        return _Program(_compile(self) if label else None, j, phi)
+
+
+def _check_cap(a: AlgorithmSpec) -> None:
+    if a.nu > MAX_QUBITS:
+        raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {MAX_QUBITS}")
+
 
 def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None) -> list[int]:
     """Check that ``a`` fits the qubit cap; the value code of each grid index."""
-    if a.nu > MAX_QUBITS:
-        raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {MAX_QUBITS}")
+    _check_cap(a)
     if a.num_queries == 0:
         return []
     if f is None:
@@ -512,15 +551,26 @@ def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
     return QState._owning(a.nu, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class OutcomeDistribution:
-    """Exact measurement distribution: ``(j, p_j, phi_j)`` for every outcome."""
+    """Exact measurement distribution: ``(j, p_j, phi_j)`` for every outcome.
 
-    entries: tuple[tuple[int, float, float], ...]
+    Built from its ``entries``, the ``(j, p, phi)`` tuples, but held as three
+    read-only columns: ``j`` (int64), ``p`` and ``phi`` (float64). A
+    distribution from :func:`distribution` or :func:`measure` shares its
+    ``j`` and ``phi`` columns with the algorithm's program, compiled once per
+    ``AlgorithmSpec``, on first use, kept on the instance. ``entries`` is
+    built from the columns on first use; equality, hashing and ``repr`` are
+    those of ``entries``.
+    """
 
-    def __post_init__(self) -> None:
+    j: np.ndarray
+    p: np.ndarray
+    phi: np.ndarray
+
+    def __init__(self, entries: Iterable[tuple[int, float, float]]) -> None:
         try:  # one column each of indices, probabilities and decoded values
-            js, ps, phis = zip(*self.entries, strict=True)
+            js, ps, phis = zip(*entries, strict=True)
         except _CONVERSION_ERRORS as exc:
             raise ValidationError(
                 f"a distribution needs at least one (j, p, phi) outcome: {exc}"
@@ -528,15 +578,60 @@ class OutcomeDistribution:
         js = _ints(js, "outcome indices")
         ps = _reals(ps, "outcome probabilities")
         phis = _reals(phis, "decoded values")
-        if len(set(js)) != len(js):
-            j = next(j for j in js if js.count(j) > 1)
-            raise ValidationError(f"duplicate outcome index {j}")
-        if min(ps) < 0.0:
-            j, p = next((j, p) for j, p in zip(js, ps) if p < 0.0)
-            raise ValidationError(f"probability of outcome {j} is {p!r}")
-        if abs(math.fsum(ps) - 1.0) > NORM_TOL:
-            raise ValidationError(f"probabilities sum to {math.fsum(ps)!r}, expected 1")
-        object.__setattr__(self, "entries", tuple(zip(js, ps, phis)))
+        try:
+            j = np.array(js, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValidationError(f"outcome indices must fit in 64 bits: {exc}") from exc
+        self._seal(j, np.array(ps, dtype=np.float64), np.array(phis, dtype=np.float64))
+
+    @classmethod
+    def _from_columns(cls, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> OutcomeDistribution:
+        """A distribution over the given columns, checked as :meth:`__init__` checks; not copied."""
+        d = object.__new__(cls)
+        d._seal(j, p, phi)
+        return d
+
+    def _seal(self, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> None:
+        """Check the columns in one pass and keep them read-only."""
+        for what, col in (("outcome probabilities", p), ("decoded values", phi)):
+            finite = np.isfinite(col)
+            if not finite.all():
+                bad = col[np.argmin(finite)].item()
+                raise ValidationError(f"{what} must be finite, got {bad!r}")
+        js = j.tolist()
+        if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
+            dup = next(k for k in js if js.count(k) > 1)
+            raise ValidationError(f"duplicate outcome index {dup}")
+        if p.min() < 0.0:
+            k = int(np.argmax(p < 0.0))
+            raise ValidationError(f"probability of outcome {js[k]} is {p[k].item()!r}")
+        total = math.fsum(p.tolist())
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        for name, col in (("j", j), ("p", p), ("phi", phi)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, float, float], ...]:
+        """The ``(j, p, phi)`` tuples, in outcome order."""
+        return tuple(zip(self.j.tolist(), self.p.tolist(), self.phi.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, (self.j, self.p, self.phi),
+                       (other.j, other.p, other.phi)))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(entries={self.entries!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuild through __init__, so a copy gets its own checked, read-only columns
+        return (OutcomeDistribution, (self.entries,))
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
@@ -551,10 +646,8 @@ def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
     p = p.sum(axis=tuple(q for q in range(s.nu) if q not in a.measure))
     kept = sorted(a.measure)
     p = p.transpose([kept.index(q) for q in a.measure]).reshape(-1)
-    entries = tuple(
-        (int(k), float(p[k]), a.decode_outcome(int(k))) for k in range(a.outcome_count)
-    )
-    return OutcomeDistribution(entries=entries)
+    prog = a._program
+    return OutcomeDistribution._from_columns(prog.j, p, prog.phi)
 
 
 def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDistribution:
@@ -584,26 +677,26 @@ def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
 
 def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeDistribution]:
     """:func:`distribution` of ``a`` on each member of ``family`` in turn."""
-    if any(g.gate not in _LABEL_KINDS for layer in a.layers for g in layer):
-        yield from (measure(run(a, f), a) for f in family)
-        return
     top = a.nu - a.query.m_prime if a.query else 0  # index j is the label's top m' bits
     low = top - a.query.m_double_prime if a.query else 0  # and its code XORs into the next m''
-    for n, f in enumerate(family):
-        codes = _query_codes(a, f)  # the cap check precedes the compile
-        if n == 0:
-            layers, M = _compile(a), a.outcome_count
-            values = [a.decode.phi(k, M) for k in range(M)]  # a.decode_outcome(k), bitwise
+    T = a.num_queries
+    for f in family:
+        prog = a._program  # the cap check precedes the compile
+        if prog.layers is None:
+            yield measure(run(a, f), a)
+            continue
+        codes = _query_codes(a, f)
         label = 0
-        for i, layer in enumerate(layers):
+        for i, layer in enumerate(prog.layers):
             for c, x in layer:
                 if label & c == c:
                     label ^= x
-            if i < a.num_queries:
+            if i < T:
                 label ^= codes[label >> top] << low
         hit = int("".join(str(label >> (a.nu - 1 - t) & 1) for t in a.measure), 2)
-        entries = ((k, 1.0 if k == hit else 0.0, phi) for k, phi in enumerate(values))
-        yield OutcomeDistribution(entries=tuple(entries))
+        p = np.zeros(len(prog.j))
+        p[hit] = 1.0
+        yield OutcomeDistribution._from_columns(prog.j, p, prog.phi)
 
 
 # --------------------------------------------------------------------------

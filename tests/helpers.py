@@ -7,8 +7,10 @@ checks) so that agreement is evidence, not tautology. The scalar routes are
 the exception: the scalar ladder (``upper_breakpoints_scalar`` with its gap
 helpers, and ``check_consistency_scalar``) is the gap-by-gap loop that the
 library's array pass replaced, and ``exact_integral_scalar`` is the
-segment-by-segment trapezoid sum that the array integral replaced. Each is
-kept as its replacement's bitwise oracle.
+segment-by-segment trapezoid sum that the array integral replaced, and
+``local_error_loop`` is the sort-and-accumulate loop over ``(j, p, phi)``
+tuples that the column ``local_error`` replaced. Each is kept as its
+replacement's bitwise oracle.
 """
 
 from __future__ import annotations
@@ -446,6 +448,24 @@ def planted_distribution(
     p = p / math.fsum(p.tolist())
     entries = tuple((j, float(p[j]), float(phi[j])) for j in range(m))
     return OutcomeDistribution(entries)
+
+
+def local_error_loop(dist: OutcomeDistribution, truth: float) -> float:
+    """The local error by a scalar loop over the ``(j, p, phi)`` tuples.
+
+    Sorts outcomes by ``(|truth - phi|, j)`` and adds probabilities in that
+    order, in Python floats, until the mass reaches ``3/4 - 1e-12``.
+    """
+    ranked = sorted(
+        ((abs(truth - phi), j, p) for j, p, phi in dist.entries),
+        key=lambda item: (item[0], item[1]),
+    )
+    mass = 0.0
+    for dist_j, _, p in ranked:
+        mass += p
+        if mass >= 0.75 - 1e-12:
+            return dist_j
+    raise AssertionError("distribution mass below 3/4")
 
 
 def subset_local_error(dist: OutcomeDistribution, truth: float) -> float:

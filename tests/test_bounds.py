@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qibc.simulator
 from qibc import (
@@ -35,7 +37,7 @@ from qibc import (
     verify_bound,
     worst_prob_error,
 )
-from helpers import planted_distribution, subset_local_error
+from helpers import local_error_loop, planted_distribution, subset_local_error
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)))
 THREE = OutcomeDistribution(((0, 0.5, 1.1), (1, 0.3, 1.2), (2, 0.2, 2.0)))
@@ -56,6 +58,57 @@ class TestLocalError:
     def test_mass_threshold_is_three_quarters(self):
         d = OutcomeDistribution(((0, 0.75, 1.0), (1, 0.25, 5.0)))
         assert local_error(d, 1.0) == 0.0
+
+
+@st.composite
+def tied_distributions(draw):
+    """A distribution in shuffled ``j`` order, with equal-distance ties and
+    zero-probability outcomes, and a truth."""
+    m = draw(st.integers(1, 24))
+    js = draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m, unique=True))
+    truth = draw(st.sampled_from([0.0, -0.0, 0.5, -0.3, 1.1]))
+    offset = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.1, 1.0]) | st.floats(-2.0, 2.0)
+    sign = st.sampled_from([1.0, -1.0])
+    phis = [truth + draw(sign) * draw(offset) for _ in range(m)]
+    weights = [draw(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 1.0)) for _ in range(m)]
+    if math.fsum(weights) == 0.0:
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    total = math.fsum(weights)
+    ps = [w / total for w in weights]
+    return OutcomeDistribution(tuple(zip(js, ps, phis))), truth
+
+
+class TestLocalErrorEqualsLoop:
+    """The column ``local_error`` against the tuple loop it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_distributions())
+    def test_bitwise_equal(self, case):
+        dist, truth = case
+        assert local_error(dist, truth).hex() == local_error_loop(dist, truth).hex()
+
+    def test_equal_distance_ties(self):
+        # j=3 and j=7 sit 0.5 either side of the truth, the zero-mass j=5 on it
+        d = OutcomeDistribution(((7, 0.25, 1.5), (3, 0.5, 0.5), (5, 0.0, 1.0), (1, 0.25, 4.0)))
+        assert local_error(d, 1.0) == local_error_loop(d, 1.0) == 0.5
+
+    def test_ties_add_in_index_order(self):
+        # x + a + b rounds onto the threshold 3/4 - 1e-12 and x + b + a just below
+        # it, so adding the tied j=1 and j=2 in the wrong order gives 2.0
+        x, a, b = 0.43395255142025857, 0.14773894590841447, 0.168308502670327
+        d = OutcomeDistribution(((2, b, 0.5), (3, 0.250000000001, 3.0), (1, a, 1.5), (0, x, 1.0)))
+        assert local_error(d, 1.0) == local_error_loop(d, 1.0) == 0.5
+
+    def test_zero_probability_outcomes_add_no_mass(self):
+        d = OutcomeDistribution(((0, 0.0, 1.0), (1, 0.0, 1.25), (2, 1.0, 3.0)))
+        assert local_error(d, 1.0) == local_error_loop(d, 1.0) == 2.0
+
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 40, 1 / 400])
+    def test_bound_fixture_members(self, eps):
+        fx = build_bound_fixture(eps)
+        for f, truth in zip(fx.family, fx.truths):
+            d = distribution(fx.algorithm, f)
+            assert local_error(d, truth).hex() == local_error_loop(d, truth).hex()
 
 
 class TestLocalErrorSetform:
@@ -140,6 +193,16 @@ class TestWorstProbErrorCompilesOnce:
         calls = self.count_compiles(monkeypatch)
         assert worst_prob_error(fx.algorithm, fx.family) == 1 / 64
         assert calls == [fx.algorithm]
+
+    def test_second_call_compiles_nothing(self, monkeypatch):
+        fx = build_bound_fixture(1 / 40)
+        assert worst_prob_error(fx.algorithm, fx.family) == 1 / 64
+        calls = self.count_compiles(monkeypatch)
+        assert worst_prob_error(fx.algorithm, fx.family) == 1 / 64
+        assert verify_bound(fx.algorithm, fx.family, L=1.0, eps=1 / 40).status == "ok"
+        assert distribution(fx.algorithm, fx.family[0]) == distribution(
+            fx.algorithm, fx.family[0])
+        assert calls == []
 
     def test_capacity_error_before_compiling(self, monkeypatch):
         big = midpoint_algorithm(10, 1, 0.0, 1.0)

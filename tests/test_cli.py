@@ -264,6 +264,17 @@ class TestSimulate:
         assert out.splitlines()[7] == "6,1.0,0.75"
 
 
+    def test_range_width_overflow_exits_2(self, capsys, tmp_path):
+        doc = algorithm_to_json(midpoint_algorithm(1, 2, 0.0, 1.0))
+        doc["query"]["range"] = [-1e308, 1e308]
+        alg_path, f_path = tmp_path / "alg.json", tmp_path / "f.json"
+        dump_json_file(str(alg_path), doc)
+        dump_json_file(str(f_path), function_to_json(constant(0.0)))
+        code, out, err = run_cli(capsys, "simulate", "--alg", str(alg_path), "--f", str(f_path))
+        assert (code, out) == (2, "")
+        assert err == "error: query range width must be finite, got [-1e+308, 1e+308]\n"
+
+
 class TestErrorAndExtract:
     @pytest.fixture
     def dist_csv(self, tmp_path):

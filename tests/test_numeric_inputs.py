@@ -155,3 +155,22 @@ def test_integral_floats_are_taken_as_ints():
             *a.layers[0][0].targets)
     assert ints == (2, 2, 3, 2, 1, 0, 0, 1)
     assert all(type(i) is int for i in ints)
+
+
+def test_query_range_width_must_be_finite():
+    # every value used to get code 0: beta_code divided by hi - lo = inf
+    with pytest.raises(ValidationError, match=r"^query range width must be finite"):
+        QuerySpec(1, 3, -1e308, 1e308)
+    big = math.nextafter(math.inf, 0.0) / 2  # hi - lo is the largest float, still finite
+    q = QuerySpec(1, 3, -big, big)
+    assert [beta_code(v, q) for v in (-big, 0.0, big)] == [0, 4, 7]
+
+
+def test_pwl_ordinate_difference_must_not_overflow():
+    half = math.nextafter(math.inf, 0.0) / 2
+    f = pwl(((0.0, -half), (1.0, half)))  # y1 - y0 is the largest float
+    assert feval(f, 0.5) == 0.0
+    with pytest.raises(ValidationError, match=r"^pwl ordinate difference overflows between"):
+        pwl(((0.0, -half), (1.0, math.nextafter(half, math.inf))))
+    with pytest.raises(ValidationError, match=r"\(0\.5, 1e\+308\) and \(1\.0, -1e\+308\)"):
+        pwl(((0.0, 0.0), (0.5, 1e308), (1.0, -1e308)))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import copy
+import dataclasses
 import functools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from qibc import (
     apply_gate,
     beta_code,
     bit_query,
+    build_ae_mean,
     build_bound_fixture,
     build_reversible_midpoint,
     constant,
@@ -538,6 +542,103 @@ class TestLabelPathProperty:
         )
         a = AlgorithmSpec(3, None, (layer,), (0, 1, 2), AffineDecode(1.0, 0.0))
         assert distribution(a) == _dense(a)
+
+
+class TestOutcomeColumns:
+    """A distribution is three read-only columns; ``entries`` and the CSV are derived."""
+
+    @staticmethod
+    def _cases():
+        fx = build_bound_fixture(1 / 40)
+        dense = AlgorithmSpec(
+            3, QuerySpec(1, 2, 0.0, 1.0), ((GateOp("H", (0,)),), (GateOp("H", (2,)),)),
+            (2, 0, 1), Sin2Decode(),
+        )
+        return [distribution(fx.algorithm, f) for f in fx.family] + [distribution(dense, RAMP)]
+
+    def test_same_as_built_from_entries(self):
+        for d in self._cases():
+            e = OutcomeDistribution(d.entries)
+            assert d == e and e == d
+            assert hash(d) == hash(e) == hash((d.entries,))
+            assert repr(d) == repr(e) == f"OutcomeDistribution(entries={d.entries!r})"
+            assert distribution_to_csv(d).encode() == distribution_to_csv(e).encode()
+
+    def test_entries_are_python_values(self):
+        d = self._cases()[0]
+        assert len(d.entries) == 256
+        assert all(type(j) is int and type(p) is float and type(phi) is float
+                   for j, p, phi in d.entries)
+        assert d.entries == tuple(zip(d.j.tolist(), d.p.tolist(), d.phi.tolist()))
+        assert (d.j.dtype, d.p.dtype, d.phi.dtype) == (np.int64, np.float64, np.float64)
+
+    def test_unequal_columns_compare_unequal(self):
+        a = OutcomeDistribution(((0, 0.5, 0.0), (1, 0.5, 1.0)))
+        assert a != OutcomeDistribution(((0, 0.5, 0.0), (1, 0.5, 2.0)))
+        assert a != OutcomeDistribution(((1, 0.5, 0.0), (0, 0.5, 1.0)))
+        assert a != OutcomeDistribution(((0, 1.0, 0.0),))
+        assert a != a.entries
+
+    @pytest.mark.parametrize("column", ["j", "p", "phi"])
+    def test_columns_are_read_only(self, column):
+        for d in self._cases() + [OutcomeDistribution(((0, 0.25, -1.0), (1, 0.75, 0.5)))]:
+            col = getattr(d, column)
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, column, col.copy())
+
+    def test_columns_are_checked(self):
+        j, phi = np.arange(2), np.array([0.0, 1.0])
+        build = OutcomeDistribution._from_columns
+        with pytest.raises(ValidationError, match=r"^duplicate outcome index 0$"):
+            build(np.zeros(2, dtype=np.int64), np.array([0.5, 0.5]), phi)
+        with pytest.raises(ValidationError, match=r"^probability of outcome 1 is -0.5$"):
+            build(j, np.array([1.5, -0.5]), phi)
+        with pytest.raises(ValidationError, match=r"^outcome probabilities must be finite"):
+            build(j, np.array([np.nan, 1.0]), phi)
+        with pytest.raises(ValidationError, match=r"^decoded values must be finite, got inf$"):
+            build(j, np.array([0.5, 0.5]), np.array([0.0, np.inf]))
+        with pytest.raises(ValidationError, match=r"^probabilities sum to 0.5, expected 1$"):
+            build(j, np.array([0.25, 0.25]), phi)
+
+    def test_index_past_64_bits_is_refused(self):
+        with pytest.raises(ValidationError, match="outcome indices must fit in 64 bits"):
+            OutcomeDistribution(((2**63, 1.0, 0.0),))
+
+    def test_copies_are_equal_and_read_only(self):
+        d = self._cases()[0]
+        for c in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert c == d and hash(c) == hash(d)
+            assert not c.p.flags.writeable
+
+
+class TestProgramOnTheInstance:
+    """The compiled program is kept on the algorithm, outside its fields."""
+
+    def test_invisible_to_eq_hash_repr_and_json(self):
+        a, b = midpoint_algorithm(2, 3, -1.0, 1.0), midpoint_algorithm(2, 3, -1.0, 1.0)
+        distribution(a, RAMP)
+        assert "_program" in vars(a) and "_program" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert algorithm_to_json(a) == algorithm_to_json(b)
+        assert "_program" not in {f.name for f in dataclasses.fields(a)}
+
+    def test_distributions_share_the_outcome_columns(self):
+        a = midpoint_algorithm(2, 3, -1.0, 1.0)
+        d1, d2 = distribution(a, RAMP), measure(run(a, RAMP), a)
+        assert d1 == d2
+        assert d1.j is d2.j is a._program.j and d1.phi is d2.phi is a._program.phi
+
+    def test_phi_column_is_decode_bitwise(self):
+        for a in (midpoint_algorithm(2, 3, -1.0, 1.0), build_ae_mean(2, 3, 0.0, 1.0)):
+            M = a.outcome_count
+            want = [a.decode.phi(k, M).hex() for k in range(M)]
+            assert [v.hex() for v in a._program.phi.tolist()] == want
+
+    def test_dense_circuit_has_no_layers(self):
+        assert build_ae_mean(2, 3, 0.0, 1.0)._program.layers is None
+        assert midpoint_algorithm(2, 3, -1.0, 1.0)._program.layers is not None
 
 
 def _no_dense(*args, **kwargs):
