@@ -32,7 +32,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .exceptions import CapacityError, PremiseViolationError, ValidationError, _ints, _real, _reals
+from .exceptions import (
+    MAX_QUBITS, CapacityError, PremiseViolationError, ValidationError, _ints, _past_budget, _real,
+    _reals,
+)
 from .functions import FunctionSpec, exact_integral
 from .information import m_eps, query_complexity
 from .simulator import AlgorithmSpec, OutcomeDistribution, _distributions
@@ -59,8 +62,9 @@ MASS_THRESHOLD = 0.75
 #: accumulation in exactly-computed distributions).
 MASS_TOL = 1e-12
 
-#: Largest outcome count for the brute-force subset search.
-_SETFORM_CAP = 16
+#: Most outcomes the set form takes: the largest ``M`` whose ``2^M x M`` mask
+#: table fits the size budget (16, as ``16 * 2^16 = 2^20``).
+_SETFORM_MAX = max(M for M in range(MAX_QUBITS + 1) if not _past_budget(M, M))
 
 #: Additive tolerance on the 2*eps window width (one-ulp asymmetry of
 #: |a - truth| <= eps and |b - truth| <= eps versus a - b <= 2*eps).
@@ -107,14 +111,15 @@ def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
     """Set form of the local error: brute force over all outcome subsets.
 
     ``min { max_{j in A} |truth - phi_j| : P(A) >= 3/4 }`` by exhaustive
-    enumeration — the oracle for :func:`local_error`. Capacity-capped at
-    16 outcomes (65536 subsets).
+    enumeration — the oracle for :func:`local_error`. Its ``2^M x M`` mask
+    table meets the size budget at ``M = 16`` (``16 * 2^16 = 2^20`` entries);
+    more outcomes raise :class:`CapacityError`.
     """
     truth = _real(truth, "truth must be finite")
     M = len(dist.j)
-    if M > _SETFORM_CAP:
+    if _past_budget(M, M):
         raise CapacityError(
-            f"set form enumerates 2^M subsets; M={M} exceeds {_SETFORM_CAP}"
+            f"set form enumerates 2^M subsets; M={M} exceeds {_SETFORM_MAX}"
             " (use local_error instead)"
         )
     p = dist.p

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .adversary import fooling_pair
-from .exceptions import _int
+from .exceptions import _budget, _int, _shown
 from .functions import FunctionSpec, constant, exact_integral
 from .information import m_eps, optimal_design
 from .simulator import (
@@ -134,8 +134,11 @@ def midpoint_algorithm(
 ) -> AlgorithmSpec:
     """The composite-midpoint circuit itself, without simulating it.
 
-    Construction is cheap for any register sizes; only *running* a circuit is
-    subject to the qubit cap.
+    It emits ``2^{m'}`` adders and ``2^{m'+1} - m' - 2`` X gates. That count
+    is checked against the size budget, ``2^MAX_QUBITS`` gates, before any
+    is built, and past it raises :class:`CapacityError`; so construction
+    takes seconds at most. Running the circuit is also subject to the qubit
+    cap.
     """
     query = QuerySpec(
         m_prime=m_prime,
@@ -146,6 +149,8 @@ def midpoint_algorithm(
     m_prime, m_double_prime = query.m_prime, query.m_double_prime
     w = m_prime + m_double_prime
     adder = _controlled_add_value(m_prime, m_double_prime)
+    gates = (len(adder) << m_prime) + (2 << m_prime) - m_prime - 2  # QuerySpec bounds m'
+    _budget(f"gate count of the midpoint circuit with m'={m_prime}, m''={m_double_prime}", 0, gates)
     layers: list[list[GateOp]] = [[]]  # a query runs between each layer and the next
     prev = 0
     for j in range(query.grid_points):
@@ -193,8 +198,12 @@ def build_ae_mean(
     With ``a`` the fraction of the ``2^{m'}`` grid points whose value bit is
     1, outcome ``j`` concentrates near ``sin^2(pi j / 2^t) ~ a``; ``t``
     readout qubits give phase granularity ``2^{-t}``. Like
-    :func:`midpoint_algorithm` it only builds the circuit; running it is
-    subject to the qubit cap.
+    :func:`midpoint_algorithm` it only builds the circuit, and checks the
+    count it would emit against the size budget, ``2^MAX_QUBITS`` gates,
+    first: ``2^t - 1`` Grover iterates of ``4 m' + 3`` gates, ``m' + t`` H
+    gates before them and the inverse QFT's ``t (t + 1) / 2 + floor(t / 2)``
+    after. Past the budget it raises :class:`CapacityError`. Running the
+    circuit is subject to the qubit cap.
     """
     t = _int(t, "readout size t must be a positive int", 1)
     query = QuerySpec(
@@ -204,6 +213,9 @@ def build_ae_mean(
         range_hi=range_hi,
     )
     m_prime = query.m_prime
+    what = f"gate count of amplitude estimation with m'={m_prime}, t={_shown(t)}"
+    _budget(what, t)  # its 2^t - 1 iterates alone, so 2^t is built below only when small
+    _budget(what, 0, ((1 << t) - 1) * (4 * m_prime + 3) + m_prime + t * (t + 3) // 2 + t // 2)
     index = tuple(range(m_prime))
     value = m_prime
     readout = tuple(range(m_prime + 1, m_prime + 1 + t))

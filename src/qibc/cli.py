@@ -10,8 +10,10 @@ Exit codes:
 * 2 — validation error (malformed input, inconsistent data, bad config);
 * 3 — premise violation (e.g. ``extract`` finds no qualifying cluster, or
   ``verify-bound`` measures a worst error above ``eps``);
-* 4 — capacity exceeded (qubit cap, brute-force subset cap, ``m(eps)``
-  above 2^53).
+* 4 — capacity exceeded: a count past the library's one size budget,
+  ``2^20`` items (more than 20 qubits in a circuit or its query register, a
+  design of more than ``2^20`` points, more than 16 outcomes in the
+  brute-force error form), or ``m(eps)`` above 2^53.
 """
 
 from __future__ import annotations

@@ -22,6 +22,14 @@ raises:
   or register size is silently truncated;
 * a value that breaks either rule raises :class:`ValidationError`, never a
   bare ``TypeError``, ``ValueError`` or ``OverflowError``.
+
+Every count an input sets (amplitudes, grid points, gates, design points, the
+entries of the exhaustive error form) meets one size budget, ``2^MAX_QUBITS``
+items, the count a dense ``MAX_QUBITS``-qubit state holds. :func:`_budget`
+checks it before anything of that size is allocated or looped over, and a
+count past it raises :class:`CapacityError`. Where a count is a power of two
+the exponent is compared, so a valid integer such as ``10**400`` is refused
+without building ``2^(10**400)``.
 """
 
 from __future__ import annotations
@@ -65,7 +73,44 @@ class PremiseViolationError(QibcError):
 
 
 class CapacityError(QibcError):
-    """A resource cap would be exceeded (qubits, subset size, ``m(eps)`` past 2^53)."""
+    """A count is past the size budget of ``2^MAX_QUBITS`` items, or ``m(eps)`` past 2^53.
+
+    The budget bounds the qubits of a simulated circuit, the registers of a
+    query, the gates a circuit builder emits, the points of a design or a
+    trig promise grid, and the outcomes of the exhaustive error form.
+    """
+
+
+#: Widest register any circuit may have, and with it the one size budget:
+#: ``2^MAX_QUBITS`` items, the amplitudes of a dense ``MAX_QUBITS``-qubit state.
+MAX_QUBITS = 20
+
+
+def _past_budget(log2: int, count: int = 1) -> bool:
+    """Whether ``count * 2^log2`` items are past the size budget; ``log2`` is compared first."""
+    return log2 > MAX_QUBITS or count << log2 > 1 << MAX_QUBITS
+
+
+def _budget(what: str, log2: int, count: int = 1) -> None:
+    """Raise :class:`CapacityError` if ``count * 2^log2`` items are past the size budget.
+
+    The message names ``what``, never the count, whose decimal form may be too
+    long to print.
+    """
+    if _past_budget(log2, count):
+        raise CapacityError(f"{what} exceeds the size budget of 2^{MAX_QUBITS} items")
+
+
+def _shown(value: Any) -> str:
+    """``reprlib.repr(value)``, or a placeholder where that raises.
+
+    ``repr`` refuses an int past the decimal digit limit (4300 digits by
+    default), and so a container holding one.
+    """
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 #: What a failed conversion raises: ``float("a")``, ``float(None)``,
@@ -82,7 +127,7 @@ def _real(value: Any, message: str, *, above: float = -math.inf,
         v = math.nan
     if math.isfinite(v) and v > above and v >= at_least:
         return v
-    raise ValidationError(f"{message}, got {reprlib.repr(value)}")
+    raise ValidationError(f"{message}, got {_shown(value)}")
 
 
 def _int(value: Any, message: str, at_least: int) -> int:
@@ -93,7 +138,7 @@ def _int(value: Any, message: str, at_least: int) -> int:
         v = None
     if v is not None and v == value and v >= at_least:
         return v
-    raise ValidationError(f"{message}, got {reprlib.repr(value)}")
+    raise ValidationError(f"{message}, got {_shown(value)}")
 
 
 def _reals(values: Any, what: str) -> tuple[float, ...]:
@@ -117,5 +162,5 @@ def _ints(values: Any, what: str) -> tuple[int, ...]:
         raise ValidationError(f"{what} must be integers: {exc}") from exc
     if out != raw:
         bad = next(v for v, i in zip(raw, out) if i != v)
-        raise ValidationError(f"{what} must be integers: got {reprlib.repr(bad)}")
+        raise ValidationError(f"{what} must be integers: got {_shown(bad)}")
     return out

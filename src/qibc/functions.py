@@ -34,7 +34,9 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .exceptions import _CONVERSION_ERRORS, DomainError, ValidationError, _int, _real, _reals
+from .exceptions import (
+    _CONVERSION_ERRORS, DomainError, ValidationError, _budget, _int, _real, _reals,
+)
 from .serialize import reading
 
 __all__ = [
@@ -253,7 +255,9 @@ def exact_integral(f: FunctionSpec) -> float:
     """Exact value of the integral of ``f`` over [0, 1].
 
     Trapezoid-exact for pwl (the trapezoid rule is exact on linear pieces),
-    analytic for constant and trig (every whole harmonic integrates to 0).
+    analytic for constant and trig (every whole harmonic integrates to 0). A
+    segment whose ordinate sum overflows halves each ordinate first, exact at
+    that size, so its trapezoid is the one an unbounded exponent would give.
     """
     if f.family == "constant":
         return f.value  # type: ignore[return-value]
@@ -261,7 +265,12 @@ def exact_integral(f: FunctionSpec) -> float:
         assert f.coefficients is not None
         return f.coefficients[0]
     x, y = f._breakpoints.T
-    return math.fsum(((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0).tolist())
+    dx, y0, y1 = x[1:] - x[:-1], y[:-1], y[1:]
+    with np.errstate(over="ignore"):
+        terms = dx * (y0 + y1) / 2.0
+    over = np.isinf(terms)
+    terms[over] = dx[over] * (y0[over] / 2.0 + y1[over] / 2.0)
+    return math.fsum(terms.tolist())
 
 
 def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
@@ -273,7 +282,8 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
     live — both independent of ``grid_size``. For trig functions both checks
     run on a uniform grid of ``max(grid_size, 4096)`` points; the Lipschitz
     comparison allows the documented slack factor 1.01 because grid
-    difference quotients only ever underestimate the true constant.
+    difference quotients only ever underestimate the true constant. A grid
+    past the size budget, ``2^MAX_QUBITS`` points, raises :class:`CapacityError`.
     """
     grid_size = _int(grid_size, "grid_size must be an int >= 2", 2)
     L = p.lipschitz_bound
@@ -285,6 +295,7 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
             return False
         return bool(((p.range_lo <= y) & (y <= p.range_hi)).all())
     n = max(grid_size, _TRIG_MIN_GRID)
+    _budget("trig promise grid size", 0, n)
     xs = [i / (n - 1) for i in range(n)]
     vals = eval_many(f, xs)
     for v in vals:

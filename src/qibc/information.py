@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapacityError, InfeasibleDataError, ValidationError, _int, _real, _reals
+from .exceptions import (
+    CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _reals,
+)
 from .functions import FunctionSpec, _eval_pwl, eval as feval, exact_integral, pwl
 
 __all__ = [
@@ -405,8 +407,12 @@ def worst_radius(d: Design, L: float) -> float:
 
 
 def optimal_design(n: int) -> Design:
-    """The midpoint design ``t_i = (2i - 1)/(2n)``, radius-optimal at L/(4n)."""
+    """The midpoint design ``t_i = (2i - 1)/(2n)``, radius-optimal at L/(4n).
+
+    ``n`` past the size budget, ``2^MAX_QUBITS`` points, raises :class:`CapacityError`.
+    """
     n = _int(n, "design size must be a positive int", 1)
+    _budget("design size n", 0, n)
     return Design(tuple((2 * i - 1) / (2 * n) for i in range(1, n + 1)))
 
 

@@ -36,8 +36,10 @@ Every gate kind, the bit query and the measurement address qubits one way:
 the state reshaped to ``(2,)*nu``, indexed by basic slices into sub-block
 views. ``run`` owns one buffer and each kernel writes into it in place;
 ``apply_gate`` and ``bit_query`` copy once and call the same kernels, so
-states stay immutable at the API. A dense vector of ``2^nu`` amplitudes caps
-``nu`` at 20 (1M amplitudes, 16 MiB).
+states stay immutable at the API. A dense vector of ``2^nu`` amplitudes meets
+the library's one size budget, ``2^MAX_QUBITS`` items, at ``nu = 20`` (1M
+amplitudes, 16 MiB); a query's ``m'`` and ``m''`` meet it too, since its grid
+has ``2^m'`` points and its codes ``2^m''`` values.
 
 ``distribution(a, f)`` is the entry point from an algorithm to its outcome
 distribution, and it takes one of two paths. When every gate is X, ``mcx``,
@@ -71,7 +73,8 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .exceptions import (
-    _CONVERSION_ERRORS, CapacityError, ValidationError, _int, _ints, _real, _reals,
+    _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _int, _ints,
+    _past_budget, _real, _reals, _shown,
 )
 from .functions import FunctionSpec, eval as feval
 from .serialize import read_csv, reading, render_csv
@@ -104,9 +107,6 @@ __all__ = [
     "distribution_from_csv",
 ]
 
-#: Cap on the register width of every simulated circuit (2^20 amplitudes dense).
-MAX_QUBITS = 20
-
 #: Tolerance on the squared norm of any state.
 NORM_TOL = 1e-12
 
@@ -127,8 +127,8 @@ _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt
 
 def _check_width(nu: Any) -> int:
     nu = _int(nu, "qubit count must be a positive int", 1)
-    if nu > MAX_QUBITS:
-        raise CapacityError(f"nu={nu} exceeds the {MAX_QUBITS}-qubit cap")
+    if _past_budget(nu):
+        raise CapacityError(f"nu={_shown(nu)} exceeds the {MAX_QUBITS}-qubit cap")
     return nu
 
 
@@ -318,6 +318,7 @@ class QuerySpec:
     def __post_init__(self) -> None:
         for name in ("m_prime", "m_double_prime"):
             v = _int(getattr(self, name), f"{name} must be a positive int", 1)
+            _budget(f"query register {name}", v)  # 2^m' grid points, 2^m'' codes
             object.__setattr__(self, name, v)
         lo, hi = _reals((self.range_lo, self.range_hi), "query range")
         if not lo < hi:
@@ -517,13 +518,12 @@ class AlgorithmSpec:
 
 
 def _check_cap(a: AlgorithmSpec) -> None:
-    if a.nu > MAX_QUBITS:
-        raise CapacityError(f"algorithm needs nu={a.nu} qubits, cap is {MAX_QUBITS}")
+    if _past_budget(a.nu):
+        raise CapacityError(f"algorithm needs nu={_shown(a.nu)} qubits, cap is {MAX_QUBITS}")
 
 
 def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None) -> list[int]:
-    """Check that ``a`` fits the qubit cap; the value code of each grid index."""
-    _check_cap(a)
+    """The value code of each grid index; the caller has checked the qubit cap."""
     if a.num_queries == 0:
         return []
     if f is None:
@@ -539,6 +539,7 @@ def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
     that need the amplitudes themselves. A circuit on more than
     ``MAX_QUBITS`` qubits raises :class:`CapacityError`.
     """
+    _check_cap(a)
     codes = _query_codes(a, f)
     arr = np.zeros(1 << a.nu, dtype=np.complex128)
     arr[0] = 1.0
@@ -681,7 +682,7 @@ def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeD
     low = top - a.query.m_double_prime if a.query else 0  # and its code XORs into the next m''
     T = a.num_queries
     for f in family:
-        prog = a._program  # the cap check precedes the compile
+        prog = a._program  # checks the qubit cap before the compile
         if prog.layers is None:
             yield measure(run(a, f), a)
             continue

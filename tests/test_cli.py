@@ -14,6 +14,7 @@ from qibc import (
     AlgorithmSpec,
     GateOp,
     QuerySpec,
+    ValidationError,
     algorithm_to_json,
     build_bound_fixture,
     build_reversible_midpoint,
@@ -25,7 +26,7 @@ from qibc import (
     pwl,
     run,
 )
-from qibc.cli import main
+from qibc.cli import complexity_table_rows, main
 from qibc.serialize import dump_json_file
 from helpers import package_env
 
@@ -93,6 +94,34 @@ class TestDesign:
     def test_invalid_n_exits_2(self, capsys):
         assert run_cli(capsys, "design", "--n", "0")[0] == 2
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "design.json"
+        code, out, err = run_cli(capsys, "design", "--n", "2", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("n", ["1048577", "1" + "0" * 400], ids=["first-past", "401-digits"])
+    def test_n_past_the_size_budget_exits_4(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "design", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == "capacity exceeded: design size n exceeds the size budget of 2^20 items\n"
+
+    def test_n_past_the_size_budget_no_traceback_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qibc", "design", "--n", "1" + "0" * 400],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == (
+            "capacity exceeded: design size n exceeds the size budget of 2^20 items\n"
+        )
+        assert "Traceback" not in proc.stderr
+
 
 class TestMeps:
     def test_frozen_literal(self, capsys):
@@ -152,6 +181,12 @@ class TestComplexityTable:
         assert ms == sorted(ms, reverse=True)
         assert comps == sorted(comps, reverse=True)
         assert bounds == sorted(bounds, reverse=True)
+
+    def test_empty_lists_rejected(self):
+        for Ls, epss in (((), (0.1,)), ((1.0,), ())):
+            with pytest.raises(ValidationError) as exc:
+                complexity_table_rows(Ls, epss, 1.0)
+            assert str(exc.value) == "complexity tables need nonempty L and eps lists"
 
     def test_empty_list_exits_2(self, capsys):
         assert run_cli(capsys, "complexity-table", "--L", "", "--eps", "0.1")[0] == 2
@@ -345,6 +380,16 @@ class TestVerifyBound:
         assert code == 3
         assert json.loads(out)["status"] == "not-applicable"
         assert err.startswith("premise violation:")
+
+    def test_missing_family_directory_exits_2(self, capsys, tmp_path, midpoint_files):
+        alg_path, _, _ = midpoint_files
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(
+            capsys, "verify-bound", "--alg", str(alg_path), "--family", str(missing),
+            "--L", "1", "--eps", "0.1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot list family directory {missing}: ")
 
     def test_empty_family_exits_2(self, capsys, tmp_path, midpoint_files):
         alg_path, _, _ = midpoint_files

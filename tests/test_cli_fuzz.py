@@ -5,6 +5,9 @@ calls :func:`qibc.cli.main` twice in process. Neither call may raise, both
 must return the same code from {0, 2, 3, 4}, and stdout must be the same
 bytes. File contents are arbitrary JSON values, truncations and mutations of
 small valid documents (nu <= 8), CSV rows, and bytes that are not UTF-8.
+Numeric flags and comma-separated lists take edge numbers, and whole numbers
+at and past the size budget of 2^20 items, which only that budget lets an
+example refuse at once.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ _JSON = st.recursive(
     | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=5),
     max_leaves=12,
 )
-_NUMBERS = st.sampled_from(["1", "0.5", "0.1", "0", "-1", "1e-300", "1e300", "nan", "inf", "x"])
+_NUMBERS = st.sampled_from(["1", "0.5", "0.1", "0", "-1", "1e-300", "1e300", "nan", "inf", "x",
+                            "1048577", "1" + "0" * 400])
+_LISTS = st.lists(_NUMBERS, max_size=4).map(",".join)
 
 
 def _slots(node):
@@ -119,7 +124,8 @@ _CSV = st.one_of(
 @st.composite
 def _invocation(draw):
     """An argv with ``{d}`` for the example's directory, and the files to write there."""
-    cmd = draw(st.sampled_from(["simulate", "verify-bound", "error", "extract", "foil"]))
+    cmd = draw(st.sampled_from(["simulate", "verify-bound", "error", "extract", "foil", "design",
+                                "meps", "complexity-table", "radius", "fooling-pair"]))
     x, y = draw(_NUMBERS), draw(_NUMBERS)
     files = {}
     if cmd in ("simulate", "verify-bound"):
@@ -138,9 +144,19 @@ def _invocation(draw):
         argv = [cmd, "--dist", "{d}/dist.csv", flag, x]
         if cmd == "error" and draw(st.booleans()):
             argv.append("--brute-force")
-    else:
+    elif cmd == "foil":
         files["quad.json"] = draw(_contents([_QUADRATURE]))
         argv = ["foil", "--quadrature", "{d}/quad.json", "--L", x]
+    elif cmd == "design":
+        argv = ["design", "--n", x]
+    elif cmd == "meps":
+        argv = ["meps", "--L", x, "--eps", y]
+    elif cmd == "complexity-table":
+        argv = ["complexity-table", "--L", draw(_LISTS), "--eps", draw(_LISTS), "--c", x]
+    else:
+        argv = [cmd, "--design", draw(_LISTS), "--L", x]
+        if cmd == "radius" and draw(st.booleans()):
+            argv += ["--y", draw(_LISTS)]
     return argv, files
 
 

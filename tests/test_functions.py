@@ -110,6 +110,23 @@ class TestExactIntegral:
         f = trig((0.125, 0.75, -0.5), Promise(4.0 * math.pi, -2.0, 2.0))
         assert exact_integral(f) == 0.125
 
+    def test_largest_same_sign_ordinates_stay_finite(self):
+        # y0 + y1 overflows; each trapezoid halves its ordinates first instead
+        big = math.nextafter(math.inf, 0.0)
+        for y in (big, -big, 1e308, -1e308):
+            assert exact_integral(pwl(((0.0, y), (1.0, y)))) == y
+        assert exact_integral(pwl(((0.0, big), (0.5, big), (1.0, big)))) == big
+
+    def test_one_overflowing_segment_among_finite_ones(self):
+        f = pwl(((0.0, 0.0), (0.5, 1e308), (0.75, 1e308), (1.0, 0.0)))
+        # only the middle segment's y0 + y1 overflows; the outer two integrate as before
+        assert exact_integral(f) == math.fsum([0.5 * 1e308 / 2, 0.25 * 1e308, 0.25 * 1e308 / 2])
+
+    def test_dyadic_integral_stays_bitwise(self):
+        f = pwl(((0.0, 0.25), (0.125, -0.5), (0.5, 3.0), (1.0, 0.75)))
+        assert exact_integral(f).hex() == exact_integral_scalar(f).hex()
+        assert exact_integral(f) == 0.125 * -0.25 / 2 + 0.375 * 2.5 / 2 + 0.5 * 3.75 / 2
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_pwl_against_riemann(self, seed):
         f = random_lipschitz_pwl(np.random.default_rng(seed), 2.0)
@@ -149,6 +166,10 @@ class TestCheckPromise:
         with pytest.raises(ValidationError):
             check_promise(HAT, Promise(1.0, -1.0, 1.0), 1)
 
+    def test_constant_checks_its_range_only(self):
+        assert check_promise(constant(0.5), Promise(0.0, 0.0, 1.0), self.GRID) is True
+        assert check_promise(constant(1.5), Promise(0.0, 0.0, 1.0), self.GRID) is False
+
 
 class TestNegate:
     def test_pointwise(self):
@@ -158,6 +179,13 @@ class TestNegate:
 
     def test_integral_flips_sign(self):
         assert exact_integral(negate(HAT)) == -0.25
+
+    def test_constant_and_trig(self):
+        promise = Promise(2.0, -1.0, 3.0)
+        assert negate(constant(0.5, promise)) == constant(-0.5, Promise(2.0, -3.0, 1.0))
+        g = negate(trig((0.25, -0.5, 0.0)))
+        assert g == trig((-0.25, 0.5, -0.0))
+        assert feval(g, 0.125) == -feval(trig((0.25, -0.5, 0.0)), 0.125)
 
     def test_promise_range_mirrored(self):
         f = pwl(((0.0, 0.1), (1.0, 0.9)), Promise(1.0, 0.0, 1.0))

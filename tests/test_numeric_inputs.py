@@ -5,17 +5,27 @@ numeric field. Real fields get values that do not convert to a finite float;
 integer fields (qubit indices, register sizes, ``nu``, ``n``, ``t``, ``j``)
 also get values with ``int(v) != v``, which used to be truncated. ``10**400``
 is an integer, so it is fed to real fields only.
+
+Every count an input sets meets one size budget, ``2^MAX_QUBITS`` items: each
+size site gets the first count past it, ``10**400`` and ``10**5000`` (too long
+for ``repr``, so no message may echo it), and must raise CapacityError before
+it allocates or loops, well inside a second.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
+import qibc.circuits
+import qibc.exceptions
 from qibc import (
+    MAX_QUBITS,
     AffineDecode,
     AlgorithmSpec,
+    CapacityError,
     DataVector,
     Design,
     FoolingPair,
@@ -23,6 +33,7 @@ from qibc import (
     OutcomeCluster,
     OutcomeDistribution,
     Promise,
+    QState,
     Quadrature,
     QuerySpec,
     RadiusReport,
@@ -33,6 +44,7 @@ from qibc import (
     build_bound_fixture,
     check_promise,
     constant,
+    distribution,
     envelopes,
     eval as feval,
     extract,
@@ -46,6 +58,7 @@ from qibc import (
     pwl,
     query_complexity,
     qubit_lower_bound,
+    run,
     tau_point,
     trig,
     verify_bound,
@@ -130,6 +143,96 @@ BAD_REALS = {"str": "a", "None": None, "int-overflow": 10**400, "nan": math.nan,
              "inf": math.inf}
 BAD_INTS = {"str": "a", "digit-str": "1", "None": None, "nan": math.nan, "inf": math.inf,
             "fraction": 0.9}
+
+
+_TRIG = trig((0.0, 0.5, 0.0))
+_BUDGET = 1 << MAX_QUBITS
+
+#: Each site with the first count past the budget; a register width counts as
+#: the exponent of its ``2^nu`` amplitudes, ``2^m'`` grid points or ``2^m''`` codes.
+SIZE_SITES = {
+    "zero_state.nu": (zero_state, MAX_QUBITS + 1),
+    "QState.nu": (lambda v: QState(v, (1.0,)), MAX_QUBITS + 1),
+    "run.nu": (lambda v: run(AlgorithmSpec(v, None, ((),), (0,), _DECODE)), MAX_QUBITS + 1),
+    "distribution.nu": (
+        lambda v: distribution(AlgorithmSpec(v, None, ((),), (0,), _DECODE)), MAX_QUBITS + 1),
+    "QuerySpec.m_prime": (lambda v: QuerySpec(v, 1, 0.0, 1.0), MAX_QUBITS + 1),
+    "QuerySpec.m_double_prime": (lambda v: QuerySpec(1, v, 0.0, 1.0), MAX_QUBITS + 1),
+    "optimal_design.n": (optimal_design, _BUDGET + 1),
+    # 1,245,166 gates; m' = 15 makes 589,807
+    "midpoint_algorithm.m_prime": (lambda v: midpoint_algorithm(v, 1, 0.0, 1.0), 16),
+    "midpoint_algorithm.m_double_prime": (
+        lambda v: midpoint_algorithm(1, v, 0.0, 1.0), MAX_QUBITS + 1),
+    # 1,835,200 gates; t = 17 makes 917,676
+    "build_ae_mean.t": (lambda v: build_ae_mean(1, v, 0.0, 1.0), 18),
+    "build_ae_mean.m_prime": (lambda v: build_ae_mean(v, 1, 0.0, 1.0), MAX_QUBITS + 1),
+    "check_promise.trig_grid": (
+        lambda v: check_promise(_TRIG, Promise(4.0, -1.0, 1.0), v), _BUDGET + 1),
+}
+
+
+PAST_THE_BUDGET = {"first": None, "10**400": 10**400, "10**5000": 10**5000}
+
+
+@pytest.mark.parametrize("past", PAST_THE_BUDGET.values(), ids=PAST_THE_BUDGET.keys())
+@pytest.mark.parametrize("site, first", SIZE_SITES.values(), ids=SIZE_SITES.keys())
+def test_size_past_the_budget_raises_capacity_error_at_once(site, first, past):
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        site(first if past is None else past)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_an_int_too_long_to_print_is_named_not_echoed():
+    with pytest.raises(ValidationError) as exc:
+        optimal_design(-10**5000)
+    assert str(exc.value) == "design size must be a positive int, got <int too long to print>"
+
+
+def test_the_largest_sizes_still_work():
+    q = QuerySpec(MAX_QUBITS, MAX_QUBITS, 0.0, 1.0)
+    assert q.grid_points == _BUDGET
+    assert tau_point(_BUDGET - 1, q) == (2 * _BUDGET - 1) / (2 * _BUDGET)
+    assert beta_code(1.0, q) == _BUDGET - 1
+    uniform = OutcomeDistribution(tuple((j, 1 / 16, float(j)) for j in range(16)))
+    assert local_error_setform(uniform, 7.5) == local_error(uniform, 7.5)
+
+
+def test_set_form_meets_the_budget_at_16_outcomes():
+    # its 2^M x M mask table: 16 * 2^16 = 2^20 entries, 17 * 2^17 past the budget
+    big = OutcomeDistribution(tuple((j, 1 / 17, float(j)) for j in range(17)))
+    with pytest.raises(CapacityError) as exc:
+        local_error_setform(big, 0.0)
+    assert str(exc.value) == (
+        "set form enumerates 2^M subsets; M=17 exceeds 16 (use local_error instead)"
+    )
+
+
+@pytest.mark.parametrize("build", [
+    lambda m, other: midpoint_algorithm(m, other, 0.0, 1.0),
+    lambda m, other: build_ae_mean(m, other, 0.0, 1.0),
+], ids=["midpoint_algorithm", "build_ae_mean"])
+def test_builders_check_the_gate_count_they_emit(build, monkeypatch):
+    """The closed-form count a builder checks last is the count of gates it builds."""
+    checked = []
+
+    def recording(what, log2, count=1):
+        checked.append(count << log2)
+        qibc.exceptions._budget(what, log2, count)
+
+    monkeypatch.setattr(qibc.circuits, "_budget", recording)
+    for size in [(m, other) for m in (1, 2, 3) for other in (1, 2, 3, 4)]:
+        gates = sum(map(len, build(*size).layers))
+        assert checked[-1] == gates, size
+
+
+def test_bound_fixture_past_the_budget_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(
+        CapacityError, match=r"^query register m_prime exceeds the size budget of 2\^20 items$"
+    ):
+        build_bound_fixture(1e-12)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("bad", BAD_REALS.values(), ids=BAD_REALS.keys())

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qibc.exceptions import ValidationError
+from qibc.exceptions import CapacityError, ValidationError
 from qibc.functions import function_from_json, promise_from_json
 from qibc.serialize import (
     dumps_json,
     format_float,
+    load_json_file,
     read_csv,
     render_csv,
 )
@@ -80,6 +81,18 @@ class TestDumpsJson:
         doc = {"b": [0.1, 0.2], "a": {"nested": [1e-300]}}
         assert dumps_json(doc) == dumps_json(doc)
 
+    def test_unserializable_type_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            dumps_json({"a": [object()]})
+        assert str(exc.value) == "value of type object is not serializable"
+
+    def test_json_nested_too_deeply_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValidationError) as exc:
+            load_json_file(str(path))
+        assert str(exc.value) == f"{path} nests JSON too deeply to parse"
+
     def test_key_after_a_multiline_value_is_checked(self):
         with pytest.raises(ValidationError) as exc:
             dumps_json({"a": ["y" * 120], 3: 1})
@@ -114,6 +127,20 @@ class TestCsv:
 
     def test_booleans_lowercase(self):
         assert render_csv(["ok"], [(True,), (False,)]) == "ok\ntrue\nfalse\n"
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            (["a"], [("x,y",)], "CSV cell would need quoting: 'x,y'"),
+            (["a"], [(None,)], "CSV cell of type NoneType not supported"),
+            (["a", "b"], [(1,)], "CSV row has 1 cells, header has 2"),
+        ],
+        ids=["needs-quoting", "unsupported-type", "row-length"],
+    )
+    def test_unwritable_rows_rejected(self, header, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            render_csv(header, rows)
+        assert str(exc.value) == message
 
 
 _VALID_DOCS = {
@@ -191,8 +218,26 @@ class TestJsonReaderErrors:
              "query range must satisfy lo < hi, got [1.0, 0.0]"),
             (promise_from_json, {"L": -1.0, "range": [0.0, 1.0]},
              "lipschitz_bound must be nonnegative, got -1.0"),
+            (gate_from_json, {"gate": "Y", "targets": [0]},
+             "unknown gate 'Y'; expected one of X, mcx, H, phase, cphase, swap, unitary"),
+            (gate_from_json, {"gate": "X", "targets": [-1]}, "negative qubit index in (-1,)"),
+            (gate_from_json, {"gate": "unitary", "targets": [0]}, "unitary gate needs a matrix"),
+            (gate_from_json, {"gate": "unitary", "targets": [0, 1],
+                              "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+             "2x2 matrix on 2 targets"),
+            (gate_from_json, {"gate": "unitary", "targets": [0], "matrix": [[[1.0, 0.0]]]},
+             "explicit matrices must be 2x2 or 4x4"),
+            (_query_from_json, dict(_VALID_DOCS["query"], tau_rule="trapezoid"),
+             "unknown tau rule 'trapezoid'; expected midpoint | left-endpoint"),
+            (algorithm_from_json, dict(_VALID_DOCS["algorithm"], layers=[]),
+             "an algorithm needs at least the layer U_0"),
+            (algorithm_from_json, dict(_VALID_DOCS["algorithm"], measure=[]),
+             "measurement list must be nonempty"),
         ],
-        ids=["pwl-not-increasing", "gate-duplicate-targets", "query-lo-ge-hi", "promise-negative-L"],
+        ids=["pwl-not-increasing", "gate-duplicate-targets", "query-lo-ge-hi", "promise-negative-L",
+             "gate-unknown-kind", "gate-negative-index", "unitary-without-matrix",
+             "matrix-size-vs-targets", "matrix-not-2x2-or-4x4", "query-unknown-tau-rule",
+             "algorithm-no-layers", "algorithm-empty-measure"],
     )
     def test_value_error_passes_through(self, reader, node, message):
         with pytest.raises(ValidationError) as exc:
@@ -225,6 +270,14 @@ class TestJsonReaderErrors:
         # int() would truncate these to a different, valid document
         with pytest.raises(ValidationError, match=r"must be (a positive int|integers)"):
             _READERS[what](dict(_VALID_DOCS[what], **{key: value}))
+
+    def test_capacity_error_passes_through(self):
+        # JSON reads a 401-digit integer exactly; the query refuses it before any grid exists
+        doc = dict(_VALID_DOCS["query"], m_prime=json.loads("1" + "0" * 400))
+        with pytest.raises(
+            CapacityError, match=r"^query register m_prime exceeds the size budget of 2\^20 items$"
+        ):
+            _query_from_json(doc)
 
     def test_overflow_is_malformed(self):
         with pytest.raises(ValidationError) as exc:
