@@ -221,19 +221,15 @@ def build_ae_mean(
     readout = tuple(range(m_prime + 1, m_prime + 1 + t))
 
     layers: list[list[GateOp]] = [[GateOp("H", (q,)) for q in index + readout]]
-    for k, r in enumerate(readout):
+    hs, xs = [GateOp("H", (q,)) for q in index], [GateOp("X", (q,)) for q in index]
+    for k, r in enumerate(readout):  # each iterate's gates built once, shared by its 2^k copies
+        # controlled sign flip of marked grid points: Q, cZ(r, value), Q
+        flip = [GateOp("cphase", (r, value), theta=math.pi)]
+        # controlled diffusion about the uniform index state
+        diffusion = [*hs, *xs, GateOp("cphase", (r,) + index, theta=math.pi), *xs, *hs,
+                     GateOp("phase", (r,), theta=math.pi)]
         for _ in range(1 << k):
-            # controlled sign flip of marked grid points: Q, cZ(r, value), Q
-            layers.append([GateOp("cphase", (r, value), theta=math.pi)])
-            # controlled diffusion about the uniform index state
-            layers.append(
-                [GateOp("H", (q,)) for q in index]
-                + [GateOp("X", (q,)) for q in index]
-                + [GateOp("cphase", (r,) + index, theta=math.pi)]
-                + [GateOp("X", (q,)) for q in index]
-                + [GateOp("H", (q,)) for q in index]
-                + [GateOp("phase", (r,), theta=math.pi)]
-            )
+            layers += [list(flip), list(diffusion)]
     layers[-1] += inverse_qft_gates(tuple(reversed(readout)))
     return AlgorithmSpec(
         nu=m_prime + 1 + t,

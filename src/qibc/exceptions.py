@@ -76,8 +76,8 @@ class CapacityError(QibcError):
     """A count is past the size budget of ``2^MAX_QUBITS`` items, or ``m(eps)`` past 2^53.
 
     The budget bounds the qubits of a simulated circuit, the registers of a
-    query, the gates a circuit builder emits, the points of a design or a
-    trig promise grid, and the outcomes of the exhaustive error form.
+    query, the gates a circuit builder emits, design points, trig promise grid
+    points times coefficients, and the outcomes of the exhaustive error form.
     """
 
 

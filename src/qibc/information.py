@@ -43,7 +43,7 @@ import numpy as np
 from .exceptions import (
     CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _reals,
 )
-from .functions import FunctionSpec, _eval_pwl, eval as feval, exact_integral, pwl
+from .functions import FunctionSpec, _eval_grid, _eval_pwl, exact_integral, pwl
 
 __all__ = [
     "Design",
@@ -121,7 +121,7 @@ class Envelope:
     def __post_init__(self) -> None:
         if self.upper.family != "pwl" or self.lower.family != "pwl":
             raise ValidationError("envelope members must be piecewise-linear")
-        up, low = self.upper._breakpoints, self.lower._breakpoints
+        up, low = self.upper.points, self.lower.points
         bad_up = _eval_pwl(low, up[:, 0]) > up[:, 1] + CONSISTENCY_TOL
         bad_low = low[:, 1] > _eval_pwl(up, low[:, 0]) + CONSISTENCY_TOL
         first = [
@@ -151,8 +151,8 @@ class RadiusReport:
 
 
 def observe(f: FunctionSpec, d: Design) -> DataVector:
-    """The information about ``f``: its values at the design points."""
-    return DataVector(tuple(feval(f, t) for t in d.points))
+    """The information about ``f``: its values at the design points, in one array pass."""
+    return DataVector(_eval_grid(f, np.array(d.points)).tolist())
 
 
 def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> None:

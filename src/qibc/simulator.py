@@ -76,7 +76,7 @@ from .exceptions import (
     _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _int, _ints,
     _past_budget, _real, _reals, _shown,
 )
-from .functions import FunctionSpec, eval as feval
+from .functions import FunctionSpec, _eval_grid
 from .serialize import read_csv, reading, render_csv
 
 __all__ = [
@@ -340,32 +340,39 @@ class QuerySpec:
 
 def tau_point(j: int, q: QuerySpec) -> float:
     """Grid point for index ``j``: midpoint ``(2j+1)/2^{m'+1}`` or ``j/2^{m'}``."""
-    n = q.grid_points
     j = _int(j, "grid index must be a nonnegative int", 0)
-    if j >= n:
-        raise ValidationError(f"index {j} outside the 2^m' grid of {n} points")
-    if q.tau_rule == "midpoint":
-        return (2 * j + 1) / (2 * n)
-    return j / n
+    if j >= q.grid_points:
+        raise ValidationError(f"index {j} outside the 2^m' grid of {q.grid_points} points")
+    return _tau(j, q)
+
+
+def _tau(j: Any, q: QuerySpec) -> Any:
+    """:func:`tau_point` of an index or of an int array of indices, unchecked."""
+    n = q.grid_points
+    return (2 * j + 1) / (2 * n) if q.tau_rule == "midpoint" else j / n
 
 
 def beta_code(y: float, q: QuerySpec) -> int:
     """The ``m''`` most significant bits of ``y`` within the promised range."""
+    return int(_beta(np.array([_real(y, "function value must be finite")]), q)[0])
+
+
+def _beta(ys: np.ndarray, q: QuerySpec) -> np.ndarray:
+    """:func:`beta_code` of each finite value of the float array ``ys``, in one clamped pass."""
+    y = np.minimum(np.maximum(ys, q.range_lo), q.range_hi)  # same codes, and nothing overflows
     codes = 1 << q.m_double_prime
-    v = (_real(y, "function value must be finite") - q.range_lo) / (q.range_hi - q.range_lo)
-    return math.floor(min(codes - 1, max(0.0, v * codes)))  # clamped before floor sees an inf
+    v = (y - q.range_lo) / (q.range_hi - q.range_lo) * codes
+    return np.minimum(v, codes - 1).astype(np.int64)  # v >= 0, so the cast is floor
 
 
 def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     """The ``(tau(j), beta(f(tau(j))))`` pairs for every grid index ``j``.
 
     Exactly ``2^{m'}`` distinct evaluation points — the accounting quantity
-    behind the qubit lower bound.
+    behind the qubit lower bound. Grid, values (bitwise ``eval``'s) and codes are array passes.
     """
-    return tuple(
-        (t, beta_code(feval(f, t), q))
-        for t in (tau_point(j, q) for j in range(q.grid_points))
-    )
+    taus = _tau(np.arange(q.grid_points), q)
+    return tuple(zip(taus.tolist(), _beta(_eval_grid(f, taus), q).tolist()))
 
 
 def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:

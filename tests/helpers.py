@@ -9,8 +9,11 @@ helpers, and ``check_consistency_scalar``) is the gap-by-gap loop that the
 library's array pass replaced, and ``exact_integral_scalar`` is the
 segment-by-segment trapezoid sum that the array integral replaced, and
 ``local_error_loop`` is the sort-and-accumulate loop over ``(j, p, phi)``
-tuples that the column ``local_error`` replaced. Each is kept as its
-replacement's bitwise oracle.
+tuples that the column ``local_error`` replaced, ``trig_promise_loop`` is
+the two-loop trig verdict that the array tests replaced, and
+``beta_code_scalar`` is the scalar clamp that the array ``beta`` pass
+replaced. Each is kept as its replacement's bitwise oracle. The pwl oracles
+read ``points`` through ``.tolist()``, so they compute in Python floats.
 """
 
 from __future__ import annotations
@@ -212,10 +215,9 @@ def pull_onto_cone_scalar(moving: float, anchor: float, bound: float) -> float:
 
 
 def exact_integral_scalar(f: FunctionSpec) -> float:
-    """Exact integral of a pwl: one trapezoid per segment from the ``points``
-    tuple, in Python floats, summed by ``math.fsum``."""
-    pts = f.points
-    assert pts is not None
+    """Exact integral of a pwl: one trapezoid per segment from the
+    breakpoints, in Python floats, summed by ``math.fsum``."""
+    pts = f.points.tolist()
     terms = [
         (x1 - x0) * (y0 + y1) / 2.0
         for (x0, y0), (x1, y1) in zip(pts, pts[1:])
@@ -234,8 +236,7 @@ def list_rebuild_eval(f: FunctionSpec, x: float) -> float:
     Locates the segment by bisecting a fresh list of breakpoint abscissae,
     then interpolates; a breakpoint returns its stored ordinate.
     """
-    pts = f.points
-    assert pts is not None
+    pts = f.points.tolist()
     i = bisect_right([p[0] for p in pts], x) - 1
     if i >= len(pts) - 1:
         i = len(pts) - 2
@@ -248,6 +249,42 @@ def list_rebuild_eval(f: FunctionSpec, x: float) -> float:
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
+def trig_promise_loop(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
+    """``check_promise`` of a trig as two Python loops over the grid values.
+
+    The range loop, then the slack-1.01 difference-quotient loop, each in
+    grid order, on ``max(grid_size, 4096)`` points evaluated by ``qibc.eval``.
+    """
+    n = max(grid_size, 4096)
+    xs = [i / (n - 1) for i in range(n)]
+    vals = qibc.eval_many(f, xs)
+    for v in vals:
+        if not p.range_lo <= v <= p.range_hi:
+            return False
+    bound = p.lipschitz_bound * 1.01
+    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
+        if abs(v1 - v0) > bound * (x1 - x0):
+            return False
+    return True
+
+
+def beta_code_scalar(y: float, q: qibc.QuerySpec) -> int:
+    """``beta(y)`` in Python floats: the scaled offset clamped to ``[0, 2^m'' - 1]``, floored."""
+    codes = 1 << q.m_double_prime
+    v = (y - q.range_lo) / (q.range_hi - q.range_lo)
+    return math.floor(min(codes - 1, max(0.0, v * codes)))
+
+
+def query_table_points(f: FunctionSpec, q: qibc.QuerySpec) -> tuple[tuple[float, int], ...]:
+    """``query_table`` one grid point at a time: ``tau_point``, a scalar value, ``beta_code``.
+
+    A pwl is valued by :func:`list_rebuild_eval`, any other family by ``qibc.eval``.
+    """
+    value = list_rebuild_eval if f.family == "pwl" else qibc.eval
+    taus = [qibc.tau_point(j, q) for j in range(q.grid_points)]
+    return tuple((t, qibc.beta_code(value(f, t), q)) for t in taus)
+
+
 def pointwise_envelope_check(upper: FunctionSpec, lower: FunctionSpec) -> str | None:
     """Per-point form of the ``Envelope`` check: the rejection message, or None.
 
@@ -255,7 +292,7 @@ def pointwise_envelope_check(upper: FunctionSpec, lower: FunctionSpec) -> str | 
     every point of the sorted union of their breakpoint abscissae, and fails
     at the first ``x`` where ``lower > upper + 1e-12``.
     """
-    xs = sorted({x for x, _ in upper.points} | {x for x, _ in lower.points})
+    xs = sorted({x for x, _ in upper.points.tolist()} | {x for x, _ in lower.points.tolist()})
     for x in xs:
         if qibc.eval(lower, x) > qibc.eval(upper, x) + 1e-12:
             return f"lower envelope exceeds upper at x={x}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from qibc import (
     build_bound_fixture,
     build_reversible_midpoint,
     beta_code,
+    algorithm_to_json,
     check_promise,
     constant,
     distribution,
@@ -34,6 +36,7 @@ from qibc import (
     tau_point,
     zero_state,
 )
+from qibc.serialize import dumps_json
 from helpers import random_lipschitz_pwl
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
@@ -241,6 +244,43 @@ class TestAmplitudeEstimation:
         assert alg.nu == 22
         with pytest.raises(CapacityError):
             distribution(alg, RAMP)
+
+
+#: sha256 of ``dumps_json(algorithm_to_json(build_ae_mean(*args)))``, taken when
+#: every gate was built afresh; sharing the iterates' gates leaves the JSON as it was
+AE_DIGESTS = {
+    (1, 1, 0.0, 1.0): "a395d762cf4daed041410e28cce3ad64fc1663f02893fa2a7ff8b3dd2d45c0ba",
+    (3, 5, -1.0, 1.0): "21ecdbe2fa128419f87002ac843a365eaa9819d8732c361303047013e20d92ed",
+    (5, 9, 0.25, 0.75): "bdddbb770add78a80a05ee4f06709ad22d0a944bc011f9167ab1a4e79b5fa397",
+}
+
+
+class TestAmplitudeEstimationSharing:
+    """Each readout qubit's Grover iterate is built once and repeated."""
+
+    @pytest.mark.parametrize("args", AE_DIGESTS, ids=[f"m'={a[0]},t={a[1]}" for a in AE_DIGESTS])
+    def test_json_matches_the_golden_digest(self, args):
+        text = dumps_json(algorithm_to_json(build_ae_mean(*args)))
+        assert hashlib.sha256(text.encode()).hexdigest() == AE_DIGESTS[args]
+
+    @pytest.mark.parametrize("m_prime, t", [(1, 1), (1, 12), (3, 5), (5, 9)])
+    def test_distinct_gate_objects(self, m_prime, t):
+        layers = build_ae_mean(m_prime, t, 0.0, 1.0).layers
+        # H on every qubit first; the shared H and X rows of the diffusion; a
+        # cZ, a multi-controlled phase and a phase per readout qubit; the inverse QFT
+        want = (m_prime + t) + 2 * m_prime + 3 * t + t * (t + 1) // 2 + t // 2
+        assert len({id(g) for layer in layers for g in layer}) == want
+        assert sum(map(len, layers)) == (
+            ((1 << t) - 1) * (4 * m_prime + 3) + m_prime + t * (t + 3) // 2 + t // 2)
+
+    def test_inverse_qft_lands_on_the_last_layer_only(self):
+        layers = build_ae_mean(2, 3, 0.0, 1.0).layers  # readout qubits 3, 4, 5
+        diffusions = layers[2::2]  # 1 + 2 + 4 iterates, each a flip layer then a diffusion
+        assert all(len(d) == 4 * 2 + 2 for d in diffusions[:-1])
+        assert diffusions[-1] == diffusions[-2] + inverse_qft_gates((5, 4, 3))
+        # repeats share their gates: the last four iterates are readout qubit 5's
+        assert all(a is b for d in diffusions[-4:-1] for a, b in zip(d, diffusions[-1]))
+        assert diffusions[1][0] is diffusions[0][0]  # the H rows are shared by every readout
 
 
 class TestBoundFixture:

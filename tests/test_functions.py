@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qibc import (
+    CapacityError,
     DataVector,
     Design,
     Envelope,
@@ -24,6 +26,7 @@ from qibc import (
     eval as feval,
     envelopes,
     eval_many,
+    fooling_pair,
     exact_integral,
     function_from_json,
     function_to_json,
@@ -39,6 +42,7 @@ from helpers import (
     list_rebuild_eval,
     random_lipschitz_pwl,
     riemann_integral,
+    trig_promise_loop,
 )
 
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), Promise(1.0, -1.0, 1.0))
@@ -266,7 +270,7 @@ class TestArrayInput:
     def test_equals_pairs(self, f):
         g = pwl(np.array(f.points))
         assert bits(g.points) == bits(f.points)
-        assert all(type(c) is float for p in g.points for c in p)
+        assert g.points.dtype == np.float64 and g.points.shape == f.points.shape
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
 
     def test_signed_zero_kept(self):
@@ -279,16 +283,16 @@ class TestArrayInput:
         arr = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
         f = pwl(arr)
         arr[1, 1] = 9.0
-        assert f.points == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
+        assert f.points.tolist() == [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
         assert exact_integral(f) == 0.25
         assert feval(f, 0.5) == 0.5
 
     def test_stored_array_read_only(self):
         f = pwl(np.array([[0.0, 0.0], [1.0, 1.0]]))
         for g in (f, pwl([(0.0, 0.0), (1.0, 1.0)]), negate(f)):
-            assert not g._breakpoints.flags.writeable
+            assert not g.points.flags.writeable
             with pytest.raises(ValueError):
-                g._breakpoints[0, 1] = 1.0
+                g.points[0, 1] = 1.0
 
     @pytest.mark.parametrize(
         "points",
@@ -325,12 +329,152 @@ class TestArrayInput:
         env = envelopes(Design((0.2, 0.5, 0.7)), DataVector((0.1, -0.1, 0.05)), 1.0)
         upper, lower = round_trip(env.upper), round_trip(env.lower)
         assert upper == env.upper and lower == env.lower
-        assert bits(upper._breakpoints) == bits(env.upper._breakpoints)
-        assert not upper._breakpoints.flags.writeable
+        assert bits(upper.points) == bits(env.upper.points)
+        assert not upper.points.flags.writeable
         assert exact_integral(upper).hex() == exact_integral(env.upper).hex()
         assert interval_H(Envelope(upper=upper, lower=lower)) == interval_H(env)
         f = round_trip(HAT)
         assert f == HAT and exact_integral(f) == 0.25 and check_promise(f, f.promise, 2)
+
+
+_TENTH_NEXT = math.nextafter(0.1, 1.0)  # differs from 0.1 in the 17th significant digit
+
+#: (left, right, equal): pairs of functions and whether they are equal
+VALUE_TABLE = {
+    "negative-zero-ordinate": (pwl([(0.0, -0.0), (1.0, 0.0)]), pwl([(0.0, 0.0), (1.0, 0.0)]),
+                               True),
+    "array-vs-pairs": (pwl(np.array([[0.0, 0.1], [1.0, 0.5]])), pwl([(0.0, 0.1), (1.0, 0.5)]),
+                       True),
+    "different-lengths": (pwl([(0.0, 0.0), (1.0, 1.0)]),
+                          pwl([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]), False),
+    "pwl-vs-constant": (pwl([(0.0, 0.5), (1.0, 0.5)]), constant(0.5), False),
+    "different-promises": (pwl([(0.0, 0.0), (1.0, 1.0)], Promise(1.0, 0.0, 1.0)),
+                           pwl([(0.0, 0.0), (1.0, 1.0)], Promise(2.0, 0.0, 1.0)), False),
+    "no-promise-vs-promise": (pwl([(0.0, 0.0), (1.0, 1.0)]),
+                              pwl([(0.0, 0.0), (1.0, 1.0)], Promise(1.0, 0.0, 1.0)), False),
+    "17th-digit": (pwl([(0.0, 0.1), (1.0, 0.0)]), pwl([(0.0, _TENTH_NEXT), (1.0, 0.0)]), False),
+    "negative-zero-constant": (constant(-0.0), constant(0.0), True),
+    "trig": (trig((0.0, 0.5, 0.0)), trig([0.0, 0.5, 0.0]), True),
+}
+
+
+class TestValueSemantics:
+    """``points`` is an array, yet ``==``, ``hash`` and ``repr`` see values as pairs did."""
+
+    @pytest.mark.parametrize("left, right, equal", VALUE_TABLE.values(), ids=VALUE_TABLE.keys())
+    def test_equality_and_hash(self, left, right, equal):
+        assert (left == right) is equal and (right == left) is equal
+        assert (left != right) is not equal
+        if equal:
+            assert hash(left) == hash(right)
+            assert len({left, right}) == 1
+
+    @pytest.mark.parametrize("left, right, equal", VALUE_TABLE.values(), ids=VALUE_TABLE.keys())
+    def test_repr_is_one_line_and_tells_values_apart(self, left, right, equal):
+        assert "\n" not in repr(left)
+        if not equal:
+            assert repr(left) != repr(right)
+
+    def test_repr_shows_every_breakpoint_at_full_precision(self):
+        f = pwl([(0.0, _TENTH_NEXT)] + [(k / 40, 0.0) for k in range(1, 41)])
+        assert repr(f) == (
+            f"FunctionSpec(family='pwl', points=((0.0, {_TENTH_NEXT!r}), "
+            + ", ".join(f"({k / 40!r}, 0.0)" for k in range(1, 41))
+            + "), value=None, coefficients=None, promise=None)"
+        )
+        assert repr(_TENTH_NEXT) == "0.10000000000000002"
+
+    def test_not_equal_to_other_types(self):
+        assert pwl([(0.0, 0.0), (1.0, 1.0)]) != ((0.0, 0.0), (1.0, 1.0))
+        assert constant(0.5) != 0.5
+
+
+_COPIES = {
+    "pickle": lambda f: pickle.loads(pickle.dumps(f)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+    "replace": lambda f: dataclasses.replace(f),
+    "json": lambda f: function_from_json(function_to_json(f)),
+}
+
+
+class TestPointsReadOnly:
+    """Every route to a pwl gives a ``points`` array no caller can write."""
+
+    @staticmethod
+    def pwls():
+        env = envelopes(Design((0.2, 0.5, 0.7)), DataVector((0.1, -0.1, 0.05)), 1.0)
+        pair = fooling_pair(Design((0.25, 0.75)), 1.0)
+        return [pwl(np.array([[0.0, 0.0], [1.0, 1.0]])), HAT, negate(HAT), env.upper,
+                env.lower, pair.f_plus, pair.f_minus]
+
+    @pytest.mark.parametrize("route", [lambda f: f, *_COPIES.values()],
+                             ids=["built", *_COPIES.keys()])
+    def test_points_cannot_be_written(self, route):
+        for f in self.pwls():
+            g = route(f)
+            assert g == f and bits(g.points) == bits(f.points)
+            assert not g.points.flags.writeable
+            with pytest.raises(ValueError):
+                g.points[0, 1] = 1.0
+            with pytest.raises(ValueError):
+                g.points.flags.writeable = True
+
+    @pytest.mark.parametrize("route", _COPIES.values(), ids=_COPIES.keys())
+    def test_copies_hold_their_own_array(self, route):
+        for f in self.pwls():
+            assert not np.shares_memory(route(f).points, f.points)
+
+
+@st.composite
+def trig_cases(draw):
+    """A trig with 0..4 harmonics, a grid size, and a promise whose range and bound
+    sit on, or one ulp either side of, the grid's extreme value and difference quotient."""
+    coefficient = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-300])
+    cs = draw(st.lists(coefficient, min_size=1, max_size=9).filter(lambda c: len(c) % 2))
+    f = trig(cs)
+    n = draw(st.sampled_from([2, 4096, 4097, 5000]))
+    m = max(n, 4096)
+    xs = [i / (m - 1) for i in range(m)]
+    vals = eval_many(f, xs)
+    quotient = max(abs(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]))
+    nudge = draw(st.sampled_from([-math.inf, None, math.inf]))
+
+    def near(v: float) -> float:
+        return v if nudge is None else math.nextafter(v, nudge)
+
+    L = max(0.0, near(quotient / 1.01))
+    lo, hi = near(min(vals)), near(max(vals))
+    if not lo < hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    return f, Promise(L, lo, hi), n
+
+
+class TestTrigPromiseArray:
+    """The trig verdict as array tests against the two grid loops it replaced."""
+
+    @given(trig_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_two_loops(self, case):
+        f, promise, n = case
+        assert check_promise(f, promise, n) is trig_promise_loop(f, promise, n)
+
+    @pytest.mark.parametrize("L", [0.0, 1e308, math.nextafter(math.inf, 0.0)])
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0, 1e307])
+    def test_extreme_bounds_and_values(self, L, amplitude):
+        # L * 1.01 overflows to inf for the largest bounds, in floats as in the loop
+        f = trig((0.0, amplitude, -amplitude, amplitude / 2, 0.0))
+        promise = Promise(L, -1e308, 1e308)
+        assert check_promise(f, promise, 2) is trig_promise_loop(f, promise, 2)
+
+    def test_coefficients_count_toward_the_budget(self):
+        start = time.perf_counter()
+        for f in (trig([0.0] * 257), trig([0.0] + [1e-4] * 4000)):
+            with pytest.raises(CapacityError, match="^trig promise grid times coefficients "):
+                check_promise(f, Promise(1.0, -1.0, 1.0), 2)
+        assert time.perf_counter() - start < 1.0
+        # 4096 points times 255 coefficients is inside the budget of 2^20
+        assert check_promise(trig([0.0] * 255), Promise(0.0, -1.0, 1.0), 2) is True
 
 
 class TestValidation:

@@ -30,6 +30,7 @@ from qibc import (
     optimal_design,
     pwl,
     query_complexity,
+    trig,
     worst_radius,
 )
 from helpers import (
@@ -80,6 +81,20 @@ class TestObserve:
 
     def test_hat_at_peak(self):
         assert observe(HAT, Design((0.5,))).values == (0.5,)
+
+    @given(
+        st.sampled_from([
+            HAT, constant(-0.0), trig((0.25, 0.5, -0.125)),
+            pwl([(0.0, -0.0), (0.25, 1e-300), (math.nextafter(0.25, 1.0), 3.0), (1.0, -2.0)]),
+        ]),
+        st.sets(st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_point_eval(self, f, ts):
+        d = Design(tuple(sorted(ts)))
+        got = observe(f, d).values
+        assert [v.hex() for v in got] == [feval(f, t).hex() for t in d.points]
+        assert all(type(v) is float for v in got)
 
 
 class TestEnvelopes:
@@ -134,7 +149,7 @@ class TestEnvelopes:
 
     def test_zero_lipschitz_constant_data_is_flat(self):
         env = envelopes(Design((0.2, 0.7)), DataVector((0.5, 0.5)), 0.0)
-        assert env.upper.points == env.lower.points == ((0.0, 0.5), (1.0, 0.5))
+        assert env.upper.points.tolist() == env.lower.points.tolist() == [[0.0, 0.5], [1.0, 0.5]]
         assert interval_H(env).radius == 0.0
 
     def test_zero_lipschitz_rejects_any_variation(self):
@@ -336,7 +351,7 @@ class TestSaggedOrdinate:
                 assert len(calls) > before
             assert check_promise(env.upper, Promise(1.0, -1.0, 1.0), 2)
             assert check_promise(env.lower, Promise(1.0, -1.0, 1.0), 2)
-            for x, _ in env.upper.points + env.lower.points:
+            for x, _ in env.upper.points.tolist() + env.lower.points.tolist():
                 assert feval(env.lower, x) <= feval(env.upper, x)
             for t, y in ((t1, 0.0), (t2, y2)):
                 assert feval(env.upper, t).hex() == y.hex()
@@ -350,7 +365,7 @@ class TestSaggedOrdinate:
         [(args, yk)] = calls
         assert yk <= min(ys)
         assert not on_both_cones(*args, yk)
-        assert env.upper.points[1:3] == tuple(zip(ts, ys))
+        assert env.upper.points[1:3].tolist() == [[t, y] for t, y in zip(ts, ys)]
         assert float_lipschitz_faults(ts, env, 3.0) == []
 
 
@@ -364,7 +379,9 @@ class TestFloatLipschitz:
         assert check_promise(env.lower, promise, 2)
         assert float_lipschitz_faults(ts, env, L) == []
         # the gap is the design chord on both envelopes
-        assert env.upper.points[1:3] == env.lower.points[1:3] == tuple(zip(ts, ys))
+        assert env.upper.points[1:3].tolist() == env.lower.points[1:3].tolist() == [
+            [t, y] for t, y in zip(ts, ys)
+        ]
 
     @given(ulp_spaced_data())
     @settings(max_examples=300, deadline=None)
@@ -393,14 +410,14 @@ class TestNudgesExhausted:
         ys = (-0.12443429572803955, -1.2987750081385425)
         env, args, yk = self._sag_call(monkeypatch, ts, ys, 3.0)
         assert on_both_cones(*args, yk)
-        assert env.upper.points[1:4] == ((ts[0], ys[0]), (args[-1], yk), (ts[1], ys[1]))
+        assert env.upper.points[1:4].tolist() == [[ts[0], ys[0]], [args[-1], yk], [ts[1], ys[1]]]
         assert float_lipschitz_faults(ts, env, 3.0) == []
 
     def test_sag_fails_and_kink_is_dropped(self, monkeypatch):
         ts, ys, L = NO_ORDINATE_ON_BOTH_CONES[1]
         env, args, yk = self._sag_call(monkeypatch, ts, ys, L)
         assert not on_both_cones(*args, yk)
-        assert env.upper.points[1:3] == tuple(zip(ts, ys))
+        assert env.upper.points[1:3].tolist() == [[t, y] for t, y in zip(ts, ys)]
 
 
 class TestKinkPulledOntoDesignCone:
@@ -418,7 +435,7 @@ class TestKinkPulledOntoDesignCone:
         pulled = information._pull_onto_cone(yk, y2, L * (t2 - xk))
         assert pulled != yk
         env = envelopes(Design(ts), DataVector(ys), L)
-        assert env.upper.points[1:4] == ((t, y), (xk, pulled), (t2, y2))
+        assert env.upper.points[1:4].tolist() == [[t, y], [xk, pulled], [t2, y2]]
         assert float_lipschitz_faults(ts, env, L) == []
 
 

@@ -146,6 +146,7 @@ BAD_INTS = {"str": "a", "digit-str": "1", "None": None, "nan": math.nan, "inf": 
 
 
 _TRIG = trig((0.0, 0.5, 0.0))
+_TRIG_255 = trig((0.0,) * 255)  # its promise check costs grid points x 255 coefficients
 _BUDGET = 1 << MAX_QUBITS
 
 #: Each site with the first count past the budget; a register width counts as
@@ -168,6 +169,9 @@ SIZE_SITES = {
     "build_ae_mean.m_prime": (lambda v: build_ae_mean(v, 1, 0.0, 1.0), MAX_QUBITS + 1),
     "check_promise.trig_grid": (
         lambda v: check_promise(_TRIG, Promise(4.0, -1.0, 1.0), v), _BUDGET + 1),
+    # 4113 points x 255 coefficients = 1,048,815; 4112 points make 1,048,560
+    "check_promise.trig_grid_times_coefficients": (
+        lambda v: check_promise(_TRIG_255, Promise(4.0, -1.0, 1.0), v), _BUDGET // 255 + 1),
 }
 
 
@@ -196,6 +200,10 @@ def test_the_largest_sizes_still_work():
     assert beta_code(1.0, q) == _BUDGET - 1
     uniform = OutcomeDistribution(tuple((j, 1 / 16, float(j)) for j in range(16)))
     assert local_error_setform(uniform, 7.5) == local_error(uniform, 7.5)
+
+
+def test_trig_promise_check_at_the_budget_still_works():
+    assert check_promise(_TRIG_255, Promise(0.0, -1.0, 1.0), _BUDGET // 255) is True
 
 
 def test_set_form_meets_the_budget_at_16_outcomes():

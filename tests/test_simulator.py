@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qibc.simulator
@@ -47,11 +47,19 @@ from qibc import (
     query_table,
     run,
     tau_point,
+    trig,
     verify_bound,
     zero_state,
 )
 from qibc.serialize import dumps_json
-from helpers import LABEL_GATE_KINDS, random_gate, random_lipschitz_pwl, random_unitary
+from helpers import (
+    LABEL_GATE_KINDS,
+    beta_code_scalar,
+    query_table_points,
+    random_gate,
+    random_lipschitz_pwl,
+    random_unitary,
+)
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
 Q11 = QuerySpec(1, 1, 0.0, 1.0, "midpoint")
@@ -328,6 +336,70 @@ class TestTauBeta:
         table = query_table(RAMP, q)
         assert len(table) == 8
         assert len({t for t, _ in table}) == 8
+
+
+_BIG = math.nextafter(math.inf, 0.0)
+_VALUES = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e308, -1e308, _BIG, -_BIG])
+
+
+@st.composite
+def query_functions(draw):
+    """A pwl (some breakpoints on a dyadic grid, where taus land), a constant or a trig."""
+    family = draw(st.sampled_from(["pwl", "constant", "trig"]))
+    if family == "constant":
+        return constant(draw(_VALUES))
+    if family == "trig":
+        cs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7)
+        return trig(draw(cs.filter(lambda c: len(c) % 2)))
+    xs = {0.0, 1.0} | draw(st.sets(st.floats(0.0, 1.0), max_size=8))
+    xs |= {k / 64 for k in draw(st.sets(st.integers(0, 64), max_size=8))}
+    ordinates = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+    return pwl([(x, draw(ordinates)) for x in sorted(xs)])
+
+
+@st.composite
+def query_specs(draw):
+    """A query whose range may cut the values at either end, or sit far outside them."""
+    lo = draw(st.floats(-3.0, 2.0) | st.sampled_from([-1e308, 1e307]))
+    hi = lo + draw(st.floats(1e-6, 4.0) | st.sampled_from([1e308]))
+    assume(lo < hi)
+    return QuerySpec(draw(st.integers(1, 7)), draw(st.integers(1, 6)), lo, hi,
+                     draw(st.sampled_from(["midpoint", "left-endpoint"])))
+
+
+class TestQueryTableArray:
+    """The table's one array pass against ``tau_point``, a scalar value and ``beta_code``."""
+
+    @given(query_functions(), query_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_point_oracle(self, f, q):
+        got, want = query_table(f, q), query_table_points(f, q)
+        assert [(t.hex(), c) for t, c in got] == [(t.hex(), c) for t, c in want]
+        assert all(type(t) is float and type(c) is int for t, c in got)
+
+    @given(_VALUES, query_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_beta_code_equals_the_scalar_clamp(self, y, q):
+        assert beta_code(y, q) == beta_code_scalar(y, q)
+
+    def test_values_clamp_at_both_ends(self):
+        q = QuerySpec(3, 2, -0.5, 0.5, "left-endpoint")
+        f = pwl([(0.0, -2.0), (1.0, 2.0)])
+        assert [c for _, c in query_table(f, q)] == [0, 0, 0, 0, 2, 3, 3, 3]
+        assert query_table(f, q) == query_table_points(f, q)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_keeps_the_message(self, y):
+        with pytest.raises(ValidationError, match=rf"^function value must be finite, got {y!r}$"):
+            beta_code(y, Q11)
+
+    @pytest.mark.parametrize("y0, y1", [(-_BIG, 0.0), (0.0, _BIG), (_BIG, _BIG / 2),
+                                        (-_BIG / 2, -_BIG), (math.nextafter(_BIG, 0.0), _BIG)])
+    def test_grid_values_of_extreme_pwls_are_finite(self, y0, y1):
+        # the table takes finite values from eval; interpolation cannot overflow
+        f = pwl([(0.0, y0), (1.0, y1)])
+        q = QuerySpec(10, 3, -1.0, 1.0)
+        assert query_table(f, q) == query_table_points(f, q)
 
 
 class TestBitQuery:
