@@ -34,8 +34,10 @@ input for the qubit lower-bound checker.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .adversary import fooling_pair
 from .exceptions import _budget, _int, _shown
@@ -106,13 +108,16 @@ def mcx_gates(controls: tuple[int, ...], target: int) -> tuple[GateOp, ...]:
     return (GateOp("mcx", tuple(controls) + (target,)),)
 
 
+@functools.cache
 def _controlled_add_value(m_prime: int, m_double_prime: int) -> tuple[GateOp, ...]:
     """Gates adding the value register into the accumulator in place.
 
     Accumulator bit of weight ``2^k`` flips when value bit ``2^i`` is set and
     all accumulator bits of weights ``2^i .. 2^{k-1}`` are 1 — applied from
     the most significant accumulator bit downward so every control reads the
-    pre-addition carry chain.
+    pre-addition carry chain: ``m'' w - m'' (m'' - 1) / 2`` gates for
+    ``w = m' + m''``. Built once per register shape; :func:`midpoint_algorithm`
+    calls it only for shapes within the size budget, so the cache stays small.
     """
     w = m_prime + m_double_prime
     val = tuple(range(m_prime, m_prime + m_double_prime))  # val[0] is its MSB
@@ -134,11 +139,12 @@ def midpoint_algorithm(
 ) -> AlgorithmSpec:
     """The composite-midpoint circuit itself, without simulating it.
 
-    It emits ``2^{m'}`` adders and ``2^{m'+1} - m' - 2`` X gates. That count
-    is checked against the size budget, ``2^MAX_QUBITS`` gates, before any
-    is built, and past it raises :class:`CapacityError`; so construction
-    takes seconds at most. Running the circuit is also subject to the qubit
-    cap.
+    It emits ``2^{m'}`` copies of one adder and ``2^{m'+1} - m' - 2`` X
+    gates. That count is computed from the closed form and checked against
+    the size budget, ``2^MAX_QUBITS`` gates, before any gate is built, and
+    past it raises :class:`CapacityError`; so construction takes seconds at
+    most. The adder is built once per register shape, and every adder layer
+    is that same tuple. Running the circuit is also subject to the qubit cap.
     """
     query = QuerySpec(
         m_prime=m_prime,
@@ -148,10 +154,11 @@ def midpoint_algorithm(
     )
     m_prime, m_double_prime = query.m_prime, query.m_double_prime
     w = m_prime + m_double_prime
-    adder = _controlled_add_value(m_prime, m_double_prime)
-    gates = (len(adder) << m_prime) + (2 << m_prime) - m_prime - 2  # QuerySpec bounds m'
+    adder_gates = m_double_prime * w - m_double_prime * (m_double_prime - 1) // 2
+    gates = (adder_gates << m_prime) + (2 << m_prime) - m_prime - 2  # QuerySpec bounds m'
     _budget(f"gate count of the midpoint circuit with m'={m_prime}, m''={m_double_prime}", 0, gates)
-    layers: list[list[GateOp]] = [[]]  # a query runs between each layer and the next
+    adder = _controlled_add_value(m_prime, m_double_prime)
+    layers: list[Sequence[GateOp]] = [[]]  # a query runs between each layer and the next
     prev = 0
     for j in range(query.grid_points):
         flips = prev ^ j
@@ -159,7 +166,7 @@ def midpoint_algorithm(
             GateOp("X", (q,)) for q in range(m_prime) if (flips >> (m_prime - 1 - q)) & 1
         ]
         prev = j
-        layers += [list(adder), []]
+        layers += [adder, []]  # the one adder tuple in every slot
     return AlgorithmSpec(
         nu=2 * w,
         query=query,
@@ -220,17 +227,16 @@ def build_ae_mean(
     value = m_prime
     readout = tuple(range(m_prime + 1, m_prime + 1 + t))
 
-    layers: list[list[GateOp]] = [[GateOp("H", (q,)) for q in index + readout]]
+    layers: list[Sequence[GateOp]] = [[GateOp("H", (q,)) for q in index + readout]]
     hs, xs = [GateOp("H", (q,)) for q in index], [GateOp("X", (q,)) for q in index]
-    for k, r in enumerate(readout):  # each iterate's gates built once, shared by its 2^k copies
+    for k, r in enumerate(readout):  # each iterate's layers built once, shared by its 2^k copies
         # controlled sign flip of marked grid points: Q, cZ(r, value), Q
-        flip = [GateOp("cphase", (r, value), theta=math.pi)]
+        flip = (GateOp("cphase", (r, value), theta=math.pi),)
         # controlled diffusion about the uniform index state
-        diffusion = [*hs, *xs, GateOp("cphase", (r,) + index, theta=math.pi), *xs, *hs,
-                     GateOp("phase", (r,), theta=math.pi)]
-        for _ in range(1 << k):
-            layers += [list(flip), list(diffusion)]
-    layers[-1] += inverse_qft_gates(tuple(reversed(readout)))
+        diffusion = (*hs, *xs, GateOp("cphase", (r,) + index, theta=math.pi), *xs, *hs,
+                     GateOp("phase", (r,), theta=math.pi))
+        layers += [flip, diffusion] * (1 << k)
+    layers[-1] += inverse_qft_gates(tuple(reversed(readout)))  # a new tuple: copies keep theirs
     return AlgorithmSpec(
         nu=m_prime + 1 + t,
         query=query,

@@ -259,8 +259,20 @@ def _eval_grid(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def eval_many(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
-    """Evaluate ``f`` at each point of ``xs`` (scalar semantics, in order)."""
-    return [eval(f, x) for x in xs]
+    """Evaluate ``f`` at each point of ``xs`` (scalar semantics, in order).
+
+    One array pass, bitwise ``eval``'s values. On a bad point it raises what
+    ``eval`` raises at the first bad point.
+    """
+    xs = list(xs)
+    try:
+        grid = np.fromiter(map(float, xs), dtype=np.float64, count=len(xs))
+    except _CONVERSION_ERRORS:
+        grid = None
+    if grid is None or not ((grid >= 0.0) & (grid <= 1.0)).all():
+        for x in xs:
+            eval(f, x)  # raises at the first bad point
+    return _eval_grid(f, grid).tolist()  # type: ignore[arg-type]
 
 
 def exact_integral(f: FunctionSpec) -> float:

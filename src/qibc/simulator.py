@@ -57,8 +57,11 @@ The compiled layers, with the outcome columns ``j`` and ``phi(j)``, are the
 algorithm's *program*: compiled once per ``AlgorithmSpec``, on first use,
 kept on the instance, so a function family (as in
 ``bounds.worst_prob_error``) and every later call on the same algorithm run
-from that one compile. An :class:`OutcomeDistribution` holds its outcomes as
-those three read-only columns, ``j``, ``p`` and ``phi``.
+from that one compile. It compiles each distinct layer object once: a layer
+repeated as one shared tuple (the midpoint circuit's adder, an amplitude
+estimation iterate) is checked and compiled once, and every slot it fills
+shares its compiled list. An :class:`OutcomeDistribution` holds its outcomes
+as those three read-only columns, ``j``, ``p`` and ``phi``.
 """
 
 from __future__ import annotations
@@ -416,7 +419,7 @@ class AffineDecode:
             object.__setattr__(self, name, v)
 
     def phi(self, j: int, modulus: int) -> float:
-        return self.scale * j + self.offset
+        return self.scale * j + self.offset  # also takes the int64 ``j`` column whole
 
 
 @dataclass(frozen=True)
@@ -448,7 +451,10 @@ class AlgorithmSpec:
 
     Its program (compiled label layers and outcome columns) is built once per
     instance, on first use, and kept on the instance; it is not a field, so
-    equality, hashing, ``repr`` and JSON see the fields alone.
+    equality, hashing, ``repr`` and JSON see the fields alone. A layer given
+    as a tuple is kept as that object, so one tuple repeated in ``layers``
+    stays one object: its gates are checked once, and the program compiles
+    each distinct layer object once.
     """
 
     nu: int
@@ -459,10 +465,10 @@ class AlgorithmSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", _int(self.nu, "nu must be a positive int", 1))
-        layers = tuple(tuple(layer) for layer in self.layers)
+        layers = tuple(tuple(layer) for layer in self.layers)  # a tuple stays the same object
         if len(layers) < 1:
             raise ValidationError("an algorithm needs at least the layer U_0")
-        for layer in layers:
+        for layer in _distinct(layers):  # in first-use order, so the first bad gate is named
             for g in layer:
                 if not isinstance(g, GateOp):
                     raise ValidationError(f"layer entry {g!r} is not a GateOp")
@@ -514,14 +520,27 @@ class AlgorithmSpec:
         """The compiled layers (None for a dense circuit) and the ``j`` and ``phi`` columns.
 
         Past the qubit cap it raises :class:`CapacityError` before compiling.
+        Each distinct layer object is inspected and compiled once. An affine
+        ``phi`` is one array pass, the same IEEE multiply and add as the
+        scalar decode; ``sin^2`` stays a ``math.sin`` loop, which numpy's
+        ``sin`` need not match bit for bit.
         """
         _check_cap(self)
         M = self.outcome_count
         j = np.arange(M, dtype=np.int64)
-        phi = np.array([self.decode.phi(k, M) for k in range(M)], dtype=np.float64)
+        if isinstance(self.decode, AffineDecode):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the scalar gives
+                phi = self.decode.phi(j, M)  # type: ignore[arg-type]
+        else:
+            phi = np.array([self.decode.phi(k, M) for k in range(M)], dtype=np.float64)
         j.flags.writeable = phi.flags.writeable = False
-        label = all(g.gate in _LABEL_KINDS for layer in self.layers for g in layer)
+        label = all(g.gate in _LABEL_KINDS for layer in _distinct(self.layers) for g in layer)
         return _Program(_compile(self) if label else None, j, phi)
+
+
+def _distinct(layers: Iterable[tuple[GateOp, ...]]) -> Iterable[tuple[GateOp, ...]]:
+    """Each distinct layer object of ``layers`` once, in order of first use."""
+    return {id(layer): layer for layer in layers}.values()
 
 
 def _check_cap(a: AlgorithmSpec) -> None:
@@ -671,16 +690,22 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
 
 
 def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
-    """Each layer as ``(control_mask, flip_mask)`` pairs: flip where all controls read 1."""
-    layers: list[list[tuple[int, int]]] = [[] for _ in a.layers]
-    for ops, layer in zip(layers, a.layers):
+    """Each layer as ``(control_mask, flip_mask)`` pairs: flip where all controls read 1.
+
+    Each distinct layer object is compiled once, and every slot it fills gets
+    that one compiled list.
+    """
+    bit = [1 << (a.nu - 1 - t) for t in range(a.nu)]  # the mask of each qubit
+    compiled: dict[int, list[tuple[int, int]]] = {}
+    for layer in _distinct(a.layers):
+        ops = compiled[id(layer)] = []
         for g in layer:
-            *cs, x = [1 << (a.nu - 1 - t) for t in g.targets]
+            *cs, x = map(bit.__getitem__, g.targets)
             if g.gate == "swap":
                 ops += [(cs[0], x), (x, cs[0]), (cs[0], x)]
             elif g.gate in ("X", "mcx"):
                 ops.append((sum(cs), x))
-    return layers
+    return [compiled[id(layer)] for layer in a.layers]
 
 
 def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeDistribution]:

@@ -10,9 +10,10 @@ library's array pass replaced, and ``exact_integral_scalar`` is the
 segment-by-segment trapezoid sum that the array integral replaced, and
 ``local_error_loop`` is the sort-and-accumulate loop over ``(j, p, phi)``
 tuples that the column ``local_error`` replaced, ``trig_promise_loop`` is
-the two-loop trig verdict that the array tests replaced, and
+the two-loop trig verdict that the array tests replaced,
 ``beta_code_scalar`` is the scalar clamp that the array ``beta`` pass
-replaced. Each is kept as its replacement's bitwise oracle. The pwl oracles
+replaced, and ``compile_loop`` is the gate-by-gate compile of every layer
+slot that the once-per-distinct-layer ``_compile`` replaced. Each is kept as its replacement's bitwise oracle. The pwl oracles
 read ``points`` through ``.tolist()``, so they compute in Python floats.
 """
 
@@ -503,6 +504,23 @@ def local_error_loop(dist: OutcomeDistribution, truth: float) -> float:
         if mass >= 0.75 - 1e-12:
             return dist_j
     raise AssertionError("distribution mass below 3/4")
+
+
+def compile_loop(a) -> list[list[tuple[int, int]]]:
+    """Each layer slot of ``a`` as ``(control_mask, flip_mask)`` pairs, gate by gate.
+
+    Compiles every slot afresh, a repeated layer object included, with a
+    Python list of masks per gate.
+    """
+    layers: list[list[tuple[int, int]]] = [[] for _ in a.layers]
+    for ops, layer in zip(layers, a.layers):
+        for g in layer:
+            *cs, x = [1 << (a.nu - 1 - t) for t in g.targets]
+            if g.gate == "swap":
+                ops += [(cs[0], x), (x, cs[0]), (cs[0], x)]
+            elif g.gate in ("X", "mcx"):
+                ops.append((sum(cs), x))
+    return layers
 
 
 def subset_local_error(dist: OutcomeDistribution, truth: float) -> float:

@@ -36,6 +36,8 @@ from qibc import (
     tau_point,
     zero_state,
 )
+from qibc.circuits import _controlled_add_value
+from qibc.exceptions import MAX_QUBITS, _past_budget
 from qibc.serialize import dumps_json
 from helpers import random_lipschitz_pwl
 
@@ -210,6 +212,77 @@ class TestMidpointCircuit:
         assert alg.decode.offset == -1.0
 
 
+class TestMidpointAdderSharing:
+    """One adder tuple per register shape, built only for shapes within the budget."""
+
+    def test_every_adder_slot_holds_the_one_cached_tuple(self):
+        alg = midpoint_algorithm(3, 4, -1.0, 1.0)
+        adders = alg.layers[1::2]
+        assert len(adders) == 8 and all(a is _controlled_add_value(3, 4) for a in adders)
+        assert midpoint_algorithm(3, 4, 0.0, 2.0).layers[1] is adders[0]
+
+    def test_budget_is_checked_before_the_adder_is_built(self):
+        before = _controlled_add_value.cache_info().currsize
+        with pytest.raises(CapacityError):
+            midpoint_algorithm(16, 1, 0.0, 1.0)
+        assert _controlled_add_value.cache_info().currsize == before
+
+    def test_closed_form_count_for_every_shape_within_the_budget(self):
+        shapes = [(m1, m2) for m1 in range(1, MAX_QUBITS + 1) for m2 in range(1, MAX_QUBITS + 1)
+                  if not _past_budget(0, _midpoint_gates(m1, m2))]
+        assert len(shapes) == 244  # the most adder shapes the cache can hold
+        for m1, m2 in shapes:
+            # the uncached body, so this test leaves the cache as it found it
+            adder = _controlled_add_value.__wrapped__(m1, m2)
+            assert len(adder) == m2 * (m1 + m2) - m2 * (m2 - 1) // 2
+
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (2, 8), (15, 1), (3, 20)])
+    def test_gate_count_is_the_closed_form(self, m1, m2):
+        alg = midpoint_algorithm(m1, m2, 0.0, 1.0)
+        assert sum(map(len, alg.layers)) == _midpoint_gates(m1, m2)
+
+
+def _midpoint_gates(m1: int, m2: int) -> int:
+    """Gates of the midpoint circuit: ``2^m'`` adders and ``2^{m'+1} - m' - 2`` X gates."""
+    return (m2 * (m1 + m2) - m2 * (m2 - 1) // 2 << m1) + (2 << m1) - m1 - 2
+
+
+#: sha256 of ``dumps_json(algorithm_to_json(a))`` followed by the space-joined
+#: ``float.hex`` of ``a._program.phi``, taken when every layer was built, checked
+#: and compiled afresh and ``phi`` was a scalar loop
+ALGORITHM_DIGESTS = {
+    "midpoint(2,8,-1,1)": (
+        lambda: midpoint_algorithm(2, 8, -1.0, 1.0),
+        "43156404c6b194b22c2848814390e3571cd18e984269bc8a6ad9511b5b692fe5"),
+    "midpoint(3,5,-0.3,2.7)": (
+        lambda: midpoint_algorithm(3, 5, -0.3, 2.7),
+        "d9e9a253540456c072794cbfc2cbab278f842c7fe89750f212562553e345defe"),
+    "fixture(1/40)": (
+        lambda: build_bound_fixture(1 / 40).algorithm,
+        "dbf295d5d8e8927d70bdcfd98dfc7edd2bd3ac17866ed899e89e58abfe686ad5"),
+    "fixture(1/400)": (
+        lambda: build_bound_fixture(1 / 400).algorithm,
+        "ffe92f5e4ab824f54f73d0f71fc67b5cca98bfe7f275b7e93a5f73330e496673"),
+    "ae(1,1,0,1)": (
+        lambda: build_ae_mean(1, 1, 0.0, 1.0),
+        "4aafd963efbdc23ab1787f761c194e804ccb65864b13ec5f242232dfd14a0890"),
+    "ae(3,5,-1,1)": (
+        lambda: build_ae_mean(3, 5, -1.0, 1.0),
+        "590003ac039bd43e2c060cf2d5ef885547d1767d3ad487c2f69c4e015b2105b6"),
+    "ae(5,9,0.25,0.75)": (
+        lambda: build_ae_mean(5, 9, 0.25, 0.75),
+        "16614236ffc450edb1cd099e099fdf697586f4df5c7861066f4b27afd9d1b8e0"),
+}
+
+
+@pytest.mark.parametrize("build, digest", ALGORITHM_DIGESTS.values(), ids=ALGORITHM_DIGESTS.keys())
+def test_algorithm_json_and_phi_match_the_golden_digest(build, digest):
+    a = build()
+    h = hashlib.sha256(dumps_json(algorithm_to_json(a)).encode())
+    h.update(" ".join(x.hex() for x in a._program.phi.tolist()).encode())
+    assert h.hexdigest() == digest
+
+
 class TestAmplitudeEstimation:
     def test_no_marked_points_reads_zero(self):
         alg = build_ae_mean(2, 3, 0.0, 1.0)
@@ -281,6 +354,15 @@ class TestAmplitudeEstimationSharing:
         # repeats share their gates: the last four iterates are readout qubit 5's
         assert all(a is b for d in diffusions[-4:-1] for a, b in zip(d, diffusions[-1]))
         assert diffusions[1][0] is diffusions[0][0]  # the H rows are shared by every readout
+
+    def test_each_iterate_is_one_tuple_shared_by_its_copies(self):
+        layers = build_ae_mean(2, 3, 0.0, 1.0).layers
+        iterates = [layers[1 + 2 * i:3 + 2 * i] for i in range(7)]  # (flip, diffusion) pairs
+        for run in (iterates[0:1], iterates[1:3], iterates[3:7]):  # readout k's 2^k copies
+            assert all(flip is run[0][0] for flip, _ in run)
+            assert all(diffusion is run[0][1] for _, diffusion in run[:3])
+        # the inverse QFT goes onto a new tuple, so the other copies keep theirs
+        assert iterates[6][1] is not iterates[5][1] and len(iterates[5][1]) == 4 * 2 + 2
 
 
 class TestBoundFixture:

@@ -72,6 +72,22 @@ class TestEval:
         vec = eval_many(f, xs)
         assert [feval(f, float(x)) for x in xs] == list(vec)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([HAT, RAMP, constant(-0.0), constant(0.3), trig((0.1, 0.5, -0.25))]),
+           st.lists(st.one_of(
+               st.floats(0.0, 1.0), st.floats(), st.sampled_from([-0.0, 1, True, "0.5", "a",
+                                                                   None, 10**400, [0.5]])),
+               max_size=12))
+    def test_eval_many_is_the_scalar_loop_values_and_first_error(self, f, xs):
+        def outcome(values):
+            try:
+                return [v.hex() for v in values()], None
+            except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                return None, (type(exc), str(exc))
+
+        assert outcome(lambda: eval_many(f, iter(xs))) == outcome(
+            lambda: [feval(f, x) for x in xs])
+
     @pytest.mark.parametrize("k", [2, 3, 31, 150, 300])
     def test_bitwise_equal_to_list_rebuild_oracle(self, k):
         rng = np.random.default_rng(900 + k)

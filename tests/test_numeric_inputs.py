@@ -167,8 +167,9 @@ SIZE_SITES = {
     # 1,835,200 gates; t = 17 makes 917,676
     "build_ae_mean.t": (lambda v: build_ae_mean(1, v, 0.0, 1.0), 18),
     "build_ae_mean.m_prime": (lambda v: build_ae_mean(v, 1, 0.0, 1.0), MAX_QUBITS + 1),
+    # 349,526 points x 3 coefficients = 1,048,578; 349,525 points make 1,048,575
     "check_promise.trig_grid": (
-        lambda v: check_promise(_TRIG, Promise(4.0, -1.0, 1.0), v), _BUDGET + 1),
+        lambda v: check_promise(_TRIG, Promise(4.0, -1.0, 1.0), v), _BUDGET // 3 + 1),
     # 4113 points x 255 coefficients = 1,048,815; 4112 points make 1,048,560
     "check_promise.trig_grid_times_coefficients": (
         lambda v: check_promise(_TRIG_255, Promise(4.0, -1.0, 1.0), v), _BUDGET // 255 + 1),

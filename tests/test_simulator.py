@@ -6,6 +6,7 @@ import cmath
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import pickle
@@ -55,6 +56,7 @@ from qibc.serialize import dumps_json
 from helpers import (
     LABEL_GATE_KINDS,
     beta_code_scalar,
+    compile_loop,
     query_table_points,
     random_gate,
     random_lipschitz_pwl,
@@ -561,7 +563,11 @@ class TestLabelPath:
 
 @st.composite
 def label_circuits(draw):
-    """A label-kind circuit (nu <= 8, T <= 3) and a pwl function to query."""
+    """A label-kind circuit (nu <= 8, T <= 3) and a pwl function to query.
+
+    A layer after the first may repeat an earlier layer's tuple object, or be
+    an equal but distinct copy of one.
+    """
     nu = draw(st.integers(2, 8))
     T = draw(st.integers(0, 3))
     m1 = draw(st.integers(1, nu - 1))
@@ -583,9 +589,14 @@ def label_circuits(draw):
         k = draw(st.integers(2, min(4, nu)))
         return GateOp("cphase", tuple(draw(qubits)[:k]), theta=draw(angle))
 
-    layers = tuple(
-        tuple(gate() for _ in range(draw(st.integers(0, 10)))) for _ in range(T + 1)
-    )
+    layers: list[tuple[GateOp, ...]] = []
+    for _ in range(T + 1):
+        how = draw(st.sampled_from(["new", "shared", "copy"])) if layers else "new"
+        if how == "new":
+            layers.append(tuple(gate() for _ in range(draw(st.integers(0, 10)))))
+        else:
+            earlier = draw(st.sampled_from(layers))
+            layers.append(earlier if how == "shared" else tuple(list(earlier)))
     meas = tuple(draw(qubits)[: draw(st.integers(1, min(nu, 6)))])
     a = AlgorithmSpec(nu, q if T or draw(st.booleans()) else None, layers, meas,
                       AffineDecode(0.25, -1.0))
@@ -605,6 +616,15 @@ class TestLabelPathProperty:
         assert [(j, phi) for j, _, phi in got.entries] == [
             (j, phi) for j, _, phi in want.entries]
         assert max(abs(g[1] - w[1]) for g, w in zip(got.entries, want.entries)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_circuits())
+    def test_compile_equals_the_per_gate_loop(self, case):
+        a, _ = case
+        got = qibc.simulator._compile(a)
+        assert got == compile_loop(a)
+        for i, k in itertools.combinations(range(len(a.layers)), 2):
+            assert (got[i] is got[k]) == (a.layers[i] is a.layers[k])
 
     @pytest.mark.parametrize("start", [(), (0,), (1,), (0, 1)], ids=str)
     def test_swap_under_every_input(self, start):
@@ -708,9 +728,69 @@ class TestProgramOnTheInstance:
             want = [a.decode.phi(k, M).hex() for k in range(M)]
             assert [v.hex() for v in a._program.phi.tolist()] == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 10))
+    def test_affine_phi_column_is_the_scalar_decode(self, scale, offset, width):
+        # one array pass: the same multiply and add, -0.0 and overflow to inf included
+        a = AlgorithmSpec(width, None, ((),), tuple(range(width)), AffineDecode(scale, offset))
+        M = a.outcome_count
+        want = [a.decode.phi(k, M).hex() for k in range(M)]
+        assert [v.hex() for v in a._program.phi.tolist()] == want
+
     def test_dense_circuit_has_no_layers(self):
         assert build_ae_mean(2, 3, 0.0, 1.0)._program.layers is None
         assert midpoint_algorithm(2, 3, -1.0, 1.0)._program.layers is not None
+
+
+BUILT = {
+    "midpoint(1,2)": lambda: midpoint_algorithm(1, 2, -1.0, 1.0),
+    "midpoint(2,8)": lambda: midpoint_algorithm(2, 8, -1.0, 1.0),
+    "midpoint(4,3)": lambda: midpoint_algorithm(4, 3, 0.0, 1.0),
+    "fixture(1/40)": lambda: build_bound_fixture(1 / 40).algorithm,
+    "fixture(1/400)": lambda: build_bound_fixture(1 / 400).algorithm,
+    "ae(3,5)": lambda: build_ae_mean(3, 5, -1.0, 1.0),
+}
+
+
+class TestSharedLayers:
+    """A layer object repeated in ``layers`` is checked and compiled once."""
+
+    @pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+    def test_compile_equals_the_per_gate_loop_on_the_builders(self, build):
+        a = build()
+        assert qibc.simulator._compile(a) == compile_loop(a)
+
+    def test_midpoint_adders_are_one_object_in_the_layers_and_the_program(self):
+        a = midpoint_algorithm(2, 8, -1.0, 1.0)
+        assert a.layers[1] is a.layers[3] and a._program.layers[1] is a._program.layers[3]
+        assert a.layers[0] is not a.layers[2]  # the X layers differ
+
+    def test_each_distinct_gate_is_checked_once(self, monkeypatch):
+        a = midpoint_algorithm(2, 8, -1.0, 1.0)
+        checked = []  # the check reads each gate's targets once
+        monkeypatch.setattr(GateOp, "targets", property(
+            lambda g: checked.append(g) or vars(g)["targets"]), raising=False)
+        AlgorithmSpec(a.nu, a.query, a.layers, a.measure, a.decode)
+        assert len(checked) == len({id(g) for layer in a.layers for g in layer}) < sum(
+            map(len, a.layers))
+
+    def test_first_bad_gate_in_layer_order_is_named(self):
+        shared, later = (GateOp("X", (0,)), GateOp("X", (5,))), (GateOp("X", (4,)),)
+        with pytest.raises(ValidationError) as exc:
+            AlgorithmSpec(3, Q11, ((), shared, later, shared), (0,), AffineDecode(1.0, 0.0))
+        assert str(exc.value) == "gate targets (5,) exceed nu=3"
+
+    def test_nu30_fixture_compiles_without_running(self):
+        # build and compile only: the qubit cap still stops any run
+        a = build_bound_fixture(2.5e-5).algorithm
+        assert a.nu == 30
+        compiled = qibc.simulator._compile(a)
+        assert len(compiled) == 32_769
+        assert sum(map(len, compiled)) == 278_512
+        assert len({id(ops) for ops in compiled[1::2]}) == 1 and len(compiled[1::2]) == 16_384
+        with pytest.raises(CapacityError):
+            a._program
 
 
 def _no_dense(*args, **kwargs):
