@@ -27,8 +27,8 @@ weights = (0.125, 0.25, 0.25, 0.25, 0.125)
 q = Quadrature(design=nodes, weights=weights)
 
 pair = fooling_pair(q.design, L)
-print("observations of f_plus :", tuple(observe(pair.f_plus, q.design).values))
-print("observations of f_minus:", tuple(observe(pair.f_minus, q.design).values))
+print("observations of f_plus :", tuple(observe(pair.f_plus, q.design).values.tolist()))
+print("observations of f_minus:", tuple(observe(pair.f_minus, q.design).values.tolist()))
 print()
 
 # same data, same answer -- but the truths sit gap apart

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .exceptions import ValidationError, _real, _reals
-from .functions import FunctionSpec, Promise, exact_integral, negate, pwl
+from .exceptions import ValidationError, _real, _real_array
+from .functions import FunctionSpec, _Value, negate
 from .information import Design, _spike, worst_radius
 
 __all__ = ["FoolingPair", "Quadrature", "fooling_pair", "foil"]
@@ -41,28 +42,34 @@ class FoolingPair:
         object.__setattr__(self, "gap", gap)
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """A linear rule ``phi(f) = sum_j weights[j] * f(design.points[j])``."""
+@dataclass(frozen=True, eq=False, repr=False)
+class Quadrature(_Value):
+    """A linear rule ``phi(f) = sum_j weights[j] * f(design.points[j])``.
+
+    ``weights`` is a read-only float array, seen by ``==``, hash and repr as a tuple.
+    """
 
     design: Design
-    weights: tuple[float, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        ws = _reals(self.weights, "weights")
+        ws = _real_array(self.weights, "weights")
         if len(ws) != self.design.n:
             raise ValidationError(
                 f"{len(ws)} weights for a {self.design.n}-point design"
             )
         object.__setattr__(self, "weights", ws)
 
-    def apply(self, values: tuple[float, ...]) -> float:
-        """Evaluate the rule on observed values."""
+    def _fields(self) -> tuple[Any, ...]:
+        return (self.design, tuple(self.weights.tolist()))
+
+    def apply(self, values: Any) -> float:
+        """Evaluate the rule on observed values: the ``fsum`` of the products ``w_j * v_j``."""
         if len(values) != len(self.weights):
             raise ValidationError(
                 f"{len(values)} values for a {len(self.weights)}-weight rule"
             )
-        return math.fsum(w * v for w, v in zip(self.weights, values))
+        return math.fsum((self.weights * values).tolist())
 
 
 def _fooling_bound(L: float) -> float:
@@ -76,14 +83,12 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
     an embedded promise (bound ``L``, symmetric range covering the spikes), so
     they can be fed back into simulator runs. ``f_plus`` is the zero-data
     upper envelope, built from the same breakpoints :func:`envelopes` gives,
-    and ``f_minus`` is its :func:`negate`.
+    and ``f_minus`` is its :func:`negate`. ``f_plus`` and the gap are the
+    spike the design keeps, shared with :func:`worst_radius` and :func:`foil`.
     """
-    L = _fooling_bound(L)
-    points = _spike(d, L)
-    peak = float(np.abs(points[:, 1]).max())
-    promise = Promise(L, -peak, peak) if peak > 0.0 else None
-    f_plus = pwl(points, promise)  # exact_integral(negate(f)) is -exact_integral(f) bitwise
-    return FoolingPair(f_plus=f_plus, f_minus=negate(f_plus), gap=2.0 * exact_integral(f_plus))
+    f_plus, integral = _spike(d, _fooling_bound(L))
+    # exact_integral(negate(f)) is -exact_integral(f) bitwise
+    return FoolingPair(f_plus=f_plus, f_minus=negate(f_plus), gap=2.0 * integral)
 
 
 def foil(q: Quadrature, L: float) -> float:
@@ -95,5 +100,5 @@ def foil(q: Quadrature, L: float) -> float:
     That radius is bitwise the integral of ``f_plus``, and ``f_minus``'s is its negation.
     """
     radius = worst_radius(q.design, _fooling_bound(L))
-    phi0 = q.apply((0.0,) * q.design.n)
+    phi0 = q.apply(np.zeros(q.design.n))
     return max(abs(radius - phi0), abs(-radius - phi0))

@@ -144,7 +144,8 @@ def midpoint_algorithm(
     the size budget, ``2^MAX_QUBITS`` gates, before any gate is built, and
     past it raises :class:`CapacityError`; so construction takes seconds at
     most. The adder is built once per register shape, and every adder layer
-    is that same tuple. Running the circuit is also subject to the qubit cap.
+    is that same tuple; each index qubit has one X gate, shared by every
+    flip. Running the circuit is also subject to the qubit cap.
     """
     query = QuerySpec(
         m_prime=m_prime,
@@ -158,13 +159,12 @@ def midpoint_algorithm(
     gates = (adder_gates << m_prime) + (2 << m_prime) - m_prime - 2  # QuerySpec bounds m'
     _budget(f"gate count of the midpoint circuit with m'={m_prime}, m''={m_double_prime}", 0, gates)
     adder = _controlled_add_value(m_prime, m_double_prime)
+    flip = [GateOp("X", (q,)) for q in range(m_prime)]
     layers: list[Sequence[GateOp]] = [[]]  # a query runs between each layer and the next
     prev = 0
     for j in range(query.grid_points):
         flips = prev ^ j
-        layers[-1] += [
-            GateOp("X", (q,)) for q in range(m_prime) if (flips >> (m_prime - 1 - q)) & 1
-        ]
+        layers[-1] += [flip[q] for q in range(m_prime) if (flips >> (m_prime - 1 - q)) & 1]
         prev = j
         layers += [adder, []]  # the one adder tuple in every slot
     return AlgorithmSpec(

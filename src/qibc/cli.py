@@ -111,7 +111,7 @@ def _cmd_radius(ns: argparse.Namespace) -> None:
 
 def _cmd_design(ns: argparse.Namespace) -> None:
     d = optimal_design(ns.n)
-    _emit(dumps_json(list(d.points)), ns.out, f"design: n={d.n}")
+    _emit(dumps_json(d.points.tolist()), ns.out, f"design: n={d.n}")
 
 
 def _cmd_meps(ns: argparse.Namespace) -> None:

@@ -23,6 +23,10 @@ raises:
 * a value that breaks either rule raises :class:`ValidationError`, never a
   bare ``TypeError``, ``ValueError`` or ``OverflowError``.
 
+A vector of reals (design points, data values, quadrature weights) is taken
+by :func:`_real_array`, under the same rule and messages as :func:`_reals`,
+into a read-only float64 array.
+
 Every count an input sets (amplitudes, grid points, gates, design points, the
 entries of the exhaustive error form) meets one size budget, ``2^MAX_QUBITS``
 items, the count a dense ``MAX_QUBITS``-qubit state holds. :func:`_budget`
@@ -37,6 +41,8 @@ from __future__ import annotations
 import math
 import reprlib
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "QibcError",
@@ -151,6 +157,28 @@ def _reals(values: Any, what: str) -> tuple[float, ...]:
         bad = next(v for v in out if not math.isfinite(v))
         raise ValidationError(f"{what} must be finite, got {bad!r}")
     return out
+
+
+def _real_array(values: Any, what: str) -> np.ndarray:
+    """``values`` as a fresh read-only float64 array of finite floats, else as :func:`_reals`.
+
+    A 1-d float64 array is copied; anything else goes through ``float`` value
+    by value, so every value and every error is the one ``float`` gives. The
+    array is a view over a read-only base, so no caller can make it writeable
+    again.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == np.float64:
+        out = values.copy()
+    else:
+        try:
+            out = np.fromiter(map(float, values), dtype=float)
+        except _CONVERSION_ERRORS as exc:
+            raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise ValidationError(f"{what} must be finite, got {out[np.argmin(finite)].item()!r}")
+    out.flags.writeable = False
+    return out.view()
 
 
 def _ints(values: Any, what: str) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable
 
 import numpy as np
@@ -83,13 +83,40 @@ class Promise:
         object.__setattr__(self, "range_hi", hi)
 
 
+class _Value:
+    """Value semantics for a frozen dataclass that holds read-only arrays.
+
+    ``==``, hash, repr and copies all see :meth:`_fields`: the field values in
+    order, each array as tuples. So ``-0.0 == 0.0``, and a value prints on one
+    line as its tuple form, every float at full precision. ``__reduce__``
+    rebuilds through ``__init__``, so a copy or an unpickled value gets its own
+    validated, read-only arrays and none of the original's kept state.
+    """
+
+    def _fields(self) -> tuple[Any, ...]:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._fields()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (type(self), self._fields())
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class FunctionSpec:
+class FunctionSpec(_Value):
     """A closed-form function on [0, 1], optionally carrying its promise.
 
     A pwl's ``points`` is its one copy of the breakpoints: a validated, read-only
-    float ``(n, 2)`` array of ``(x, y)`` rows. ``==`` and hash compare values
-    (``-0.0 == 0.0``); ``repr`` shows each breakpoint at full precision, on one line.
+    float ``(n, 2)`` array of ``(x, y)`` rows, seen by ``==``, hash and repr as
+    ``(x, y)`` tuples (:class:`_Value`).
     """
 
     family: str
@@ -126,24 +153,8 @@ class FunctionSpec:
             )
 
     def _fields(self) -> tuple[Any, ...]:
-        """The fields, ``points`` as ``(x, y)`` tuples: what ``==``, hash, repr and copies see."""
         rows = None if self.points is None else tuple(map(tuple, self.points.tolist()))
         return (self.family, rows, self.value, self.coefficients, self.promise)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FunctionSpec) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "FunctionSpec(family={!r}, points={!r}, value={!r}, coefficients={!r}, " \
-            "promise={!r})".format(*self._fields())
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # rebuild through __init__, so a copy or an unpickled value gets its
-        # own validated, read-only breakpoint array
-        return (FunctionSpec, self._fields())
 
 
 def _breakpoint_array(points: Any) -> np.ndarray:

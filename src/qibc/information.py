@@ -14,8 +14,9 @@ information* — is the intrinsic worst-case error of any method that only sees
 the data. The radius is maximized by constant data (``y = 0`` after a shift),
 which gives ``worst_radius(d, L) = L * integral(min_i |x - t_i|)``; the
 midpoint design ``t_i = (2i-1)/(2n)`` minimizes it at ``L/(4n)``. That
-zero-data spike is built directly, not through ``envelopes``, for
-``worst_radius`` and for the adversary's fooling pair.
+zero-data spike is built directly, not through ``envelopes``, once per design
+and ``L``: the design keeps it, with its integral, so ``worst_radius``, the
+adversary's fooling pair and ``foil`` on one design all read one spike.
 
 All integration here is exact breakpoint enumeration (trapezoid on linear
 pieces), never quadrature, so radii are reference-grade. A one-ulp repair
@@ -26,8 +27,9 @@ that no float ordinate can put on both of its cones is dropped, leaving the
 chord between two design points, which holds to the consistency tolerance.
 The effect on integrals is a few ulps at most.
 
-The per-point work runs as numpy array passes: the consistency check, the
-kinks and float checks of every design gap, and the ``Envelope`` check.
+Design points and data values are read-only float arrays, and the per-point
+work runs as numpy array passes: the consistency check, the kinks and float
+checks of every design gap, and the ``Envelope`` check.
 Elementwise ``+ - * /`` and ``nextafter`` are the IEEE operations of scalar
 code, so the outputs are bitwise those of a gap-by-gap loop. Only the few
 gaps whose float check fails run the scalar repair steps.
@@ -37,13 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .exceptions import (
-    CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _reals,
+    CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _real_array,
 )
-from .functions import FunctionSpec, _eval_grid, _eval_pwl, exact_integral, pwl
+from .functions import FunctionSpec, Promise, _eval_grid, _eval_pwl, _Value, exact_integral, pwl
 
 __all__ = [
     "Design",
@@ -69,39 +72,52 @@ _MAX_NUDGES = 8
 _KINK_SEARCH_STEPS = 64
 
 
-@dataclass(frozen=True)
-class Design:
-    """Strictly increasing sample points ``0 <= t_1 < ... < t_n <= 1``."""
+@dataclass(frozen=True, eq=False, repr=False)
+class Design(_Value):
+    """Strictly increasing sample points ``0 <= t_1 < ... < t_n <= 1``.
 
-    points: tuple[float, ...]
+    ``points`` is a read-only float array, seen by ``==``, hash and repr as a
+    tuple. The design also keeps its last zero-data spike (see :func:`_spike`),
+    outside its value: copies start without it.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _reals(self.points, "design points")
+        pts = _real_array(self.points, "design points")
         if len(pts) < 1:
             raise ValidationError("a design needs at least one point")
-        for t in pts:
-            if not 0.0 <= t <= 1.0:
-                raise ValidationError(f"design point {t!r} outside [0, 1]")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        outside = (pts < 0.0) | (pts > 1.0)
+        if outside.any():
+            t = pts[np.argmax(outside)].item()
+            raise ValidationError(f"design point {t!r} outside [0, 1]")
+        if (pts[1:] <= pts[:-1]).any():
             raise ValidationError("design points must be strictly increasing")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_spike_slot", None)
+
+    def _fields(self) -> tuple[Any, ...]:
+        return (tuple(self.points.tolist()),)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class DataVector:
-    """Observed values, paired positionally with a design."""
+@dataclass(frozen=True, eq=False, repr=False)
+class DataVector(_Value):
+    """Observed values, paired positionally with a design, as a read-only float array."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _reals(self.values, "data values")
+        vals = _real_array(self.values, "data values")
         if len(vals) < 1:
             raise ValidationError("a data vector needs at least one value")
         object.__setattr__(self, "values", vals)
+
+    def _fields(self) -> tuple[Any, ...]:
+        return (tuple(self.values.tolist()),)
 
 
 @dataclass(frozen=True)
@@ -152,10 +168,10 @@ class RadiusReport:
 
 def observe(f: FunctionSpec, d: Design) -> DataVector:
     """The information about ``f``: its values at the design points, in one array pass."""
-    return DataVector(_eval_grid(f, np.array(d.points)).tolist())
+    return DataVector(_eval_grid(f, d.points))
 
 
-def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -> None:
+def _check_consistency(t: np.ndarray, y: np.ndarray, L: float) -> None:
     """Pairwise test ``|y_i - y_j| <= L (t_j - t_i) + tol`` in a few array passes.
 
     A pair ``i < j`` fails iff ``y_i + L t_i > y_j + L t_j + tol`` or
@@ -166,12 +182,14 @@ def _check_consistency(ts: tuple[float, ...], ys: tuple[float, ...], L: float) -
     ``1e-14 (L + max|y|)`` of it is rescanned against every ``i < j``, in
     increasing ``j``, and the first failing pair is reported.
     """
-    t, y = np.array(ts), np.array(ys)
     near = CONSISTENCY_TOL - 1e-14 * (L + float(np.abs(y).max()))
-    flagged = np.zeros(len(ts) - 1, dtype=bool)
+    flagged = np.zeros(len(t) - 1, dtype=bool)
     for key in (y + L * t, L * t - y):  # the second is -(y - L t), bit for bit
         i = _prefix_argmax(key)[:-1]
         flagged |= np.abs(y[i] - y[1:]) > L * (t[1:] - t[i]) + near
+    if not flagged.any():
+        return
+    ts, ys = t.tolist(), y.tolist()
     for j in (np.flatnonzero(flagged) + 1).tolist():
         for i in range(j):
             if abs(ys[i] - ys[j]) > L * (ts[j] - ts[i]) + CONSISTENCY_TOL:
@@ -358,14 +376,13 @@ def envelopes(d: Design, y: DataVector, L: float) -> Envelope:
         )
     _check_consistency(ts, ys, L)
     if L == 0.0:
-        if any(v != ys[0] for v in ys):
+        if (ys != ys[0]).any():
             raise InfeasibleDataError("L = 0 requires exactly constant data")
         flat = pwl([(0.0, ys[0]), (1.0, ys[0])])
         return Envelope(upper=flat, lower=flat)
-    t, y = np.array(ts), np.array(ys)
-    xs, vs = _upper_breakpoints(t, y, L)
+    xs, vs = _upper_breakpoints(ts, ys, L)
     upper = pwl(np.stack((xs, vs), 1))
-    xs, vs = _upper_breakpoints(t, -y, L)
+    xs, vs = _upper_breakpoints(ts, -ys, L)
     lower = pwl(np.stack((xs, -vs), 1))
     return Envelope(upper=upper, lower=lower)
 
@@ -386,13 +403,23 @@ def _lipschitz_bound(L: float) -> float:
     return _real(L, "Lipschitz bound must be finite and >= 0", at_least=0.0)
 
 
-def _spike(d: Design, L: float) -> np.ndarray:
-    """Breakpoint rows of the zero-data upper envelope ``L * min_i |x - t_i|``, for ``L > 0``.
+def _spike(d: Design, L: float) -> tuple[FunctionSpec, float]:
+    """The zero-data upper envelope ``L * min_i |x - t_i|`` and its exact integral, for ``L > 0``.
 
-    Zero data is consistent and its lower envelope is this spike's mirror, so
-    neither needs checking.
+    The pwl carries the fooling pair's promise: bound ``L``, range
+    ``[-peak, peak]``. Zero data is consistent and its lower envelope is this
+    spike's mirror, so neither needs checking. Built once per design and
+    ``L``: ``d`` keeps the last one asked for, so a caller alternating
+    between two ``L`` rebuilds it on each call.
     """
-    return np.stack(_upper_breakpoints(np.array(d.points), np.zeros(d.n), L), 1)
+    kept = d._spike_slot  # type: ignore[attr-defined]
+    if kept is None or kept[0] != L:
+        points = np.stack(_upper_breakpoints(d.points, np.zeros(d.n), L), 1)
+        peak = float(np.abs(points[:, 1]).max())
+        spike = pwl(points, Promise(L, -peak, peak) if peak > 0.0 else None)
+        kept = (L, spike, exact_integral(spike))
+        object.__setattr__(d, "_spike_slot", kept)  # one assignment: a race only rebuilds
+    return kept[1], kept[2]
 
 
 def worst_radius(d: Design, L: float) -> float:
@@ -403,7 +430,7 @@ def worst_radius(d: Design, L: float) -> float:
     mirror, so this is bitwise ``(h_hi - h_lo)/2`` of :func:`interval_H`.
     """
     L = _lipschitz_bound(L)
-    return exact_integral(pwl(_spike(d, L))) if L > 0.0 else 0.0
+    return _spike(d, L)[1] if L > 0.0 else 0.0
 
 
 def optimal_design(n: int) -> Design:
@@ -413,7 +440,7 @@ def optimal_design(n: int) -> Design:
     """
     n = _int(n, "design size must be a positive int", 1)
     _budget("design size n", 0, n)
-    return Design(tuple((2 * i - 1) / (2 * n) for i in range(1, n + 1)))
+    return Design((2 * np.arange(1, n + 1) - 1) / (2 * n))
 
 
 def m_eps(L: float, eps: float) -> int:

@@ -453,8 +453,9 @@ class AlgorithmSpec:
     instance, on first use, and kept on the instance; it is not a field, so
     equality, hashing, ``repr`` and JSON see the fields alone. A layer given
     as a tuple is kept as that object, so one tuple repeated in ``layers``
-    stays one object: its gates are checked once, and the program compiles
-    each distinct layer object once.
+    stays one object, and the program compiles each distinct layer object
+    once. Each distinct gate object is checked once, however many layers
+    hold it.
     """
 
     nu: int
@@ -468,14 +469,14 @@ class AlgorithmSpec:
         layers = tuple(tuple(layer) for layer in self.layers)  # a tuple stays the same object
         if len(layers) < 1:
             raise ValidationError("an algorithm needs at least the layer U_0")
-        for layer in _distinct(layers):  # in first-use order, so the first bad gate is named
-            for g in layer:
-                if not isinstance(g, GateOp):
-                    raise ValidationError(f"layer entry {g!r} is not a GateOp")
-                if any(t >= self.nu for t in g.targets):
-                    raise ValidationError(
-                        f"gate targets {g.targets} exceed nu={self.nu}"
-                    )
+        # each distinct gate once, in first-use order, so the first bad gate is named
+        for g in {id(g): g for layer in _distinct(layers) for g in layer}.values():
+            if not isinstance(g, GateOp):
+                raise ValidationError(f"layer entry {g!r} is not a GateOp")
+            if any(t >= self.nu for t in g.targets):
+                raise ValidationError(
+                    f"gate targets {g.targets} exceed nu={self.nu}"
+                )
         object.__setattr__(self, "layers", layers)
         if self.query is not None:
             if self.query.m_prime + self.query.m_double_prime > self.nu:

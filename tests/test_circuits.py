@@ -221,6 +221,14 @@ class TestMidpointAdderSharing:
         assert len(adders) == 8 and all(a is _controlled_add_value(3, 4) for a in adders)
         assert midpoint_algorithm(3, 4, 0.0, 2.0).layers[1] is adders[0]
 
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (3, 4), (5, 2)])
+    def test_one_x_gate_object_per_index_qubit(self, m1, m2):
+        flips = [g for layer in midpoint_algorithm(m1, m2, -1.0, 1.0).layers
+                 for g in layer if g.gate == "X"]
+        assert len(flips) == (2 << m1) - m1 - 2
+        assert len({id(g) for g in flips}) == m1
+        assert sorted({g.targets for g in flips}) == [(q,) for q in range(m1)]
+
     def test_budget_is_checked_before_the_adder_is_built(self):
         before = _controlled_add_value.cache_info().currsize
         with pytest.raises(CapacityError):

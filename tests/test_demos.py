@@ -31,3 +31,5 @@ def test_demo_runs_clean(script: Path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), "demo printed nothing"
     assert not proc.stderr, proc.stderr
+    for numpy_repr in ("np.float64(", "array("):  # values print as plain floats
+        assert numpy_repr not in proc.stdout

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import time
 
@@ -19,11 +22,14 @@ from qibc import (
     Envelope,
     InfeasibleDataError,
     Promise,
+    Quadrature,
     ValidationError,
     check_promise,
     constant,
     envelopes,
     eval as feval,
+    foil,
+    fooling_pair,
     interval_H,
     m_eps,
     observe,
@@ -74,13 +80,13 @@ def walk_data(draw):
 
 class TestObserve:
     def test_zero_function(self):
-        assert observe(constant(0.0), Design((0.5,))).values == (0.0,)
+        assert observe(constant(0.0), Design((0.5,))).values.tolist() == [0.0]
 
     def test_ramp(self):
-        assert observe(RAMP, Design((0.25, 0.75))).values == (0.25, 0.75)
+        assert observe(RAMP, Design((0.25, 0.75))).values.tolist() == [0.25, 0.75]
 
     def test_hat_at_peak(self):
-        assert observe(HAT, Design((0.5,))).values == (0.5,)
+        assert observe(HAT, Design((0.5,))).values.tolist() == [0.5]
 
     @given(
         st.sampled_from([
@@ -92,8 +98,8 @@ class TestObserve:
     @settings(max_examples=200, deadline=None)
     def test_equals_per_point_eval(self, f, ts):
         d = Design(tuple(sorted(ts)))
-        got = observe(f, d).values
-        assert [v.hex() for v in got] == [feval(f, t).hex() for t in d.points]
+        got = observe(f, d).values.tolist()
+        assert [v.hex() for v in got] == [feval(f, t).hex() for t in d.points.tolist()]
         assert all(type(v) is float for v in got)
 
 
@@ -233,7 +239,7 @@ class TestConsistencyCheck:
     def test_verdict_matches_all_pairs_oracle(self, case):
         ts, ys, L = case
         try:
-            information._check_consistency(ts, ys, L)
+            information._check_consistency(np.array(ts), np.array(ys), L)
         except InfeasibleDataError as exc:
             assert not pairwise_consistent(ts, ys, L)
             t_i, t_j = (float(t) for t in re.search(r"t=(\S+), t=(\S+):", str(exc)).groups())
@@ -259,7 +265,7 @@ class TestConsistencyCheck:
         ts = (0.0, 0.25, 0.5, 0.75)
         ys = tuple(sign * v for v in (0.5, 0.25, 0.0, -0.5))
         with pytest.raises(InfeasibleDataError) as exc:
-            information._check_consistency(ts, ys, 1.0)
+            information._check_consistency(np.array(ts), np.array(ys), 1.0)
         assert str(exc.value) == (
             f"data not Lipschitz-1.0 consistent at points t=0.0, t=0.75: "
             f"|{ys[0]} - {ys[3]}| > L*dt"
@@ -454,7 +460,8 @@ class TestArrayPassAgainstScalarLadder:
     @staticmethod
     def assert_matches(ts, ys, L, spike=True):
         want = consistency_message(check_consistency_scalar, ts, ys, L)
-        assert consistency_message(information._check_consistency, ts, ys, L) == want
+        got = consistency_message(information._check_consistency, np.array(ts), np.array(ys), L)
+        assert got == want
         if want is not None or L == 0.0:
             return
         env = envelopes(Design(ts), DataVector(ys), L)
@@ -463,7 +470,7 @@ class TestArrayPassAgainstScalarLadder:
         assert bits(env.lower.points) == bits([(x, -v) for x, v in neg])
         if spike:
             want_spike = upper_breakpoints_scalar(ts, (0.0,) * len(ts), L)
-            assert bits(information._spike(Design(ts), L)) == bits(want_spike)
+            assert bits(information._spike(Design(ts), L)[0].points) == bits(want_spike)
 
     @given(ulp_spaced_data())
     @settings(max_examples=100, deadline=None)
@@ -480,14 +487,15 @@ class TestArrayPassAgainstScalarLadder:
         # their zero-data envelopes are checked against this spike in test_adversary
         for n in range(1, 301):
             d = optimal_design(n)
-            want = upper_breakpoints_scalar(d.points, (0.0,) * n, L)
-            assert bits(information._spike(d, L)) == bits(want), n
+            want = upper_breakpoints_scalar(d.points.tolist(), (0.0,) * n, L)
+            assert bits(information._spike(d, L)[0].points) == bits(want), n
 
     def test_random_designs_n2000(self):
         for seed in range(20):
             rng = np.random.default_rng(4000 + seed)
             d = random_design(rng, 2000)
-            self.assert_matches(d.points, random_consistent_data(rng, d, 1.0), 1.0, spike=False)
+            ts = d.points.tolist()
+            self.assert_matches(ts, random_consistent_data(rng, d, 1.0), 1.0, spike=False)
 
 
 class TestPullOntoCone:
@@ -562,10 +570,10 @@ class TestWorstRadius:
 
 class TestOptimalDesign:
     def test_n1_midpoint(self):
-        assert optimal_design(1).points == (0.5,)
+        assert optimal_design(1).points.tolist() == [0.5]
 
     def test_n2_quartiles(self):
-        assert optimal_design(2).points == (0.25, 0.75)
+        assert optimal_design(2).points.tolist() == [0.25, 0.75]
 
     def test_n4_radius(self):
         assert worst_radius(optimal_design(4), 1.0) == 0.0625
@@ -668,3 +676,119 @@ class TestDesignValidation:
     def test_non_numeric_point_rejected(self):
         with pytest.raises(ValidationError, match="^design points must be real numbers: "):
             Design(("a",))
+
+
+class TestKeptSpike:
+    """One zero-data spike per design and ``L``, kept on the design."""
+
+    @staticmethod
+    def classical_hexes(d, L, weights):
+        pair = fooling_pair(d, L)
+        return (
+            worst_radius(d, L).hex(),
+            pair.gap.hex(),
+            bits(pair.f_plus.points),
+            bits(pair.f_minus.points),
+            pair.f_plus.promise,
+            foil(Quadrature(d, weights), L).hex(),
+        )
+
+    def test_three_calls_build_one_spike_per_l(self, monkeypatch):
+        calls = []
+        real = information._upper_breakpoints
+
+        def counting(t, y, L):
+            calls.append(L)
+            return real(t, y, L)
+
+        d = optimal_design(7)
+        weights = tuple(range(1, 8))
+        want = {L: self.classical_hexes(Design(d.points), L, weights) for L in (1.0, 2.5)}
+        monkeypatch.setattr(information, "_upper_breakpoints", counting)
+        for L, built in ((1.0, 1), (1.0, 1), (2.5, 2), (1.0, 3)):
+            assert self.classical_hexes(d, L, weights) == want[L]
+            assert len(calls) == built, L
+
+    def test_every_value_matches_a_fresh_design(self):
+        d = Design((0.0, 0.3, 0.31, 1.0))
+        first = self.classical_hexes(d, 1.5, (0.3, -0.5, 2.0, 1.0))
+        assert self.classical_hexes(d, 1.5, (1.0, 1.0, 1.0, 1.0)) == first
+        assert self.classical_hexes(Design(d.points.tolist()), 1.5, (0.0,) * 4) == first
+
+    @pytest.mark.parametrize("route", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy, dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_copies_are_equal_with_an_empty_slot_and_a_fresh_array(self, route):
+        d = optimal_design(5)
+        worst_radius(d, 1.0)
+        assert d._spike_slot is not None
+        e = route(d)
+        assert e == d and hash(e) == hash(d) and bits(e.points) == bits(d.points)
+        assert e._spike_slot is None
+        assert not e.points.flags.writeable and not np.shares_memory(e.points, d.points)
+
+
+class TestArrayValues:
+    """``Design``, ``DataVector`` and ``Quadrature`` hold read-only float arrays."""
+
+    ARRAYS = {
+        "Design": lambda: Design((0.25, 0.75)).points,
+        "DataVector": lambda: DataVector((0.5, -1.0)).values,
+        "Quadrature": lambda: Quadrature(Design((0.25, 0.75)), (0.5, 0.5)).weights,
+        "observe": lambda: observe(RAMP, Design((0.25, 0.75))).values,
+        "optimal_design": lambda: optimal_design(3).points,
+    }
+
+    @pytest.mark.parametrize("get", ARRAYS.values(), ids=ARRAYS.keys())
+    def test_read_only_float_array(self, get):
+        a = get()
+        assert a.dtype == np.float64 and a.ndim == 1
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+
+    def test_input_array_is_copied(self):
+        src = np.array([0.25, 0.75])
+        d = Design(src)
+        src[0] = 0.5
+        assert d.points.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("points, shown", [
+        ((0.25, 0.75), "Design(points=(0.25, 0.75))"),
+        ((-0.0,), "Design(points=(-0.0,))"),
+        ((0.0, 0.1, 1.0), "Design(points=(0.0, 0.1, 1.0))"),
+        ((1 / 6, 0.5, 5 / 6), "Design(points=(0.16666666666666666, 0.5, 0.8333333333333334))"),
+    ])
+    def test_eq_hash_repr_are_the_tuple_forms(self, points, shown):
+        d = Design(points)
+        assert repr(d) == shown
+        assert hash(d) == hash((tuple(points),))
+        assert d == Design(list(points)) and d != Design((0.3,)) and d != points
+
+    def test_signed_zero_designs_are_equal(self):
+        assert Design((-0.0,)) == Design((0.0,))
+        assert hash(Design((-0.0,))) == hash(Design((0.0,)))
+        assert repr(DataVector((-0.0, 1e-300, 2))) == "DataVector(values=(-0.0, 1e-300, 2.0))"
+
+    def test_quadrature_value(self):
+        q = Quadrature(Design((0.5,)), (1,))
+        assert repr(q) == "Quadrature(design=Design(points=(0.5,)), weights=(1.0,))"
+        assert hash(q) == hash((Design((0.5,)), (1.0,)))
+        assert q == Quadrature(Design((0.5,)), [1.0]) != Quadrature(Design((0.5,)), (2.0,))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Design((0.2, -0.1, 1.5)), "design point -0.1 outside [0, 1]"),
+        (lambda: Design((0.5, math.nan)), "design points must be finite, got nan"),
+        (lambda: Design(np.array([2, 3])), "design point 2.0 outside [0, 1]"),
+        (lambda: Design(0.5),
+         "design points must be real numbers: 'float' object is not iterable"),
+        (lambda: DataVector((None,)), "data values must be real numbers: float() argument must "
+                                      "be a string or a real number, not 'NoneType'"),
+        (lambda: DataVector((1.0, -math.inf)), "data values must be finite, got -inf"),
+        (lambda: Quadrature(Design((0.5,)), (10**400,)),
+         "weights must be real numbers: int too large to convert to float"),
+    ])
+    def test_messages_name_the_first_bad_value(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

@@ -305,8 +305,8 @@ class TestTauBeta:
     def test_midpoint_taus_equal_optimal_design(self):
         for m_prime in (1, 2, 3, 5):
             q = QuerySpec(m_prime, 1, 0.0, 1.0, "midpoint")
-            taus = tuple(tau_point(j, q) for j in range(1 << m_prime))
-            assert taus == optimal_design(1 << m_prime).points
+            taus = [tau_point(j, q) for j in range(1 << m_prime)]
+            assert taus == optimal_design(1 << m_prime).points.tolist()
 
     def test_left_endpoint_taus(self):
         q = QuerySpec(2, 1, 0.0, 1.0, "left-endpoint")
