@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .exceptions import ValidationError, _real, _real_array
-from .functions import FunctionSpec, _Value, negate
+from .functions import FunctionSpec, _Value
 from .information import Design, _spike, worst_radius
 
 __all__ = ["FoolingPair", "Quadrature", "fooling_pair", "foil"]
@@ -61,7 +61,7 @@ class Quadrature(_Value):
         object.__setattr__(self, "weights", ws)
 
     def _fields(self) -> tuple[Any, ...]:
-        return (self.design, tuple(self.weights.tolist()))
+        return (self.design, self.weights)
 
     def apply(self, values: Any) -> float:
         """Evaluate the rule on observed values: the ``fsum`` of the products ``w_j * v_j``."""
@@ -83,12 +83,12 @@ def fooling_pair(d: Design, L: float) -> FoolingPair:
     an embedded promise (bound ``L``, symmetric range covering the spikes), so
     they can be fed back into simulator runs. ``f_plus`` is the zero-data
     upper envelope, built from the same breakpoints :func:`envelopes` gives,
-    and ``f_minus`` is its :func:`negate`. ``f_plus`` and the gap are the
+    and ``f_minus`` is its :func:`negate`. The pair and the gap are the
     spike the design keeps, shared with :func:`worst_radius` and :func:`foil`.
     """
-    f_plus, integral = _spike(d, _fooling_bound(L))
+    f_plus, f_minus, integral = _spike(d, _fooling_bound(L))
     # exact_integral(negate(f)) is -exact_integral(f) bitwise
-    return FoolingPair(f_plus=f_plus, f_minus=negate(f_plus), gap=2.0 * integral)
+    return FoolingPair(f_plus=f_plus, f_minus=f_minus, gap=2.0 * integral)
 
 
 def foil(q: Quadrature, L: float) -> float:

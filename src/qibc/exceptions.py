@@ -25,7 +25,8 @@ raises:
 
 A vector of reals (design points, data values, quadrature weights) is taken
 by :func:`_real_array`, under the same rule and messages as :func:`_reals`,
-into a read-only float64 array.
+into a read-only float64 array. Every array a library value holds is made
+read-only by :func:`_frozen`.
 
 Every count an input sets (amplitudes, grid points, gates, design points, the
 entries of the exhaustive error form) meets one size budget, ``2^MAX_QUBITS``
@@ -164,8 +165,7 @@ def _real_array(values: Any, what: str) -> np.ndarray:
 
     A 1-d float64 array is copied; anything else goes through ``float`` value
     by value, so every value and every error is the one ``float`` gives. The
-    array is a view over a read-only base, so no caller can make it writeable
-    again.
+    array is frozen by :func:`_frozen`.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == np.float64:
         out = values.copy()
@@ -177,8 +177,25 @@ def _real_array(values: Any, what: str) -> np.ndarray:
     finite = np.isfinite(out)
     if not finite.all():
         raise ValidationError(f"{what} must be finite, got {out[np.argmin(finite)].item()!r}")
-    out.flags.writeable = False
-    return out.view()
+    return _frozen(out)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only view whose memory owner is read-only too.
+
+    An array that owns its memory is frozen in place and viewed, so no caller
+    can make the view writeable again. A view that is writeable, or whose
+    owner is, is copied first: freezing the owner would lock a buffer someone
+    else may hold. An already-frozen view is returned unchanged. This is the
+    one place the library clears ``writeable``.
+    """
+    base = a.base
+    if base is None:
+        a.flags.writeable = False
+        return a.view()
+    if a.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
+        return _frozen(a.copy())
+    return a
 
 
 def _ints(values: Any, what: str) -> tuple[int, ...]:

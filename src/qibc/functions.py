@@ -34,7 +34,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .exceptions import (
-    _CONVERSION_ERRORS, DomainError, ValidationError, _budget, _int, _real, _reals,
+    _CONVERSION_ERRORS, DomainError, ValidationError, _budget, _frozen, _int, _real, _reals,
 )
 from .serialize import reading
 
@@ -84,26 +84,35 @@ class Promise:
 
 
 class _Value:
-    """Value semantics for a frozen dataclass that holds read-only arrays.
+    """Value semantics for a frozen dataclass that holds read-only arrays or a cache.
 
-    ``==``, hash, repr and copies all see :meth:`_fields`: the field values in
-    order, each array as tuples. So ``-0.0 == 0.0``, and a value prints on one
-    line as its tuple form, every float at full precision. ``__reduce__``
-    rebuilds through ``__init__``, so a copy or an unpickled value gets its own
-    validated, read-only arrays and none of the original's kept state.
+    :meth:`_fields` gives the constructor's arguments in order. ``==``, hash
+    and repr see them with each array as tuples (rows of a 2-d array as
+    tuples too), so ``-0.0 == 0.0``, and a value prints on one line as its
+    tuple form, every float at full precision. ``__reduce__`` rebuilds
+    through ``__init__`` from the arguments, arrays as arrays, so a copy or an
+    unpickled value gets its own validated, read-only arrays and none of the
+    original's kept state: no compiled program, cached entries or spike.
     """
 
     def _fields(self) -> tuple[Any, ...]:
         raise NotImplementedError
 
+    def _key(self) -> tuple[Any, ...]:
+        return tuple(
+            (tuple(map(tuple, v.tolist())) if v.ndim == 2 else tuple(v.tolist()))
+            if isinstance(v, np.ndarray) else v
+            for v in self._fields()
+        )
+
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self._fields() == other._fields()
+        return other.__class__ is self.__class__ and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._fields()))
+        shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._key()))
         return f"{type(self).__name__}({shown})"
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -153,8 +162,7 @@ class FunctionSpec(_Value):
             )
 
     def _fields(self) -> tuple[Any, ...]:
-        rows = None if self.points is None else tuple(map(tuple, self.points.tolist()))
-        return (self.family, rows, self.value, self.coefficients, self.promise)
+        return (self.family, self.points, self.value, self.coefficients, self.promise)
 
 
 def _breakpoint_array(points: Any) -> np.ndarray:
@@ -184,8 +192,7 @@ def _breakpoint_array(points: Any) -> np.ndarray:
     x0, x1 = xy[[0, -1], 0].tolist()
     if x0 != 0.0 or x1 != 1.0:
         raise ValidationError(f"pwl breakpoints must span [0, 1] exactly, got [{x0}, {x1}]")
-    xy.flags.writeable = False
-    return xy.view()  # over a read-only base, so no caller can make it writeable again
+    return _frozen(xy)
 
 
 def pwl(

@@ -15,8 +15,9 @@ the data. The radius is maximized by constant data (``y = 0`` after a shift),
 which gives ``worst_radius(d, L) = L * integral(min_i |x - t_i|)``; the
 midpoint design ``t_i = (2i-1)/(2n)`` minimizes it at ``L/(4n)``. That
 zero-data spike is built directly, not through ``envelopes``, once per design
-and ``L``: the design keeps it, with its integral, so ``worst_radius``, the
-adversary's fooling pair and ``foil`` on one design all read one spike.
+and ``L``: the design keeps it, with its mirror and its integral, so
+``worst_radius``, the adversary's fooling pair and ``foil`` on one design all
+read one spike.
 
 All integration here is exact breakpoint enumeration (trapezoid on linear
 pieces), never quadrature, so radii are reference-grade. A one-ulp repair
@@ -46,7 +47,9 @@ import numpy as np
 from .exceptions import (
     CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _real_array,
 )
-from .functions import FunctionSpec, Promise, _eval_grid, _eval_pwl, _Value, exact_integral, pwl
+from .functions import (
+    FunctionSpec, Promise, _eval_grid, _eval_pwl, _Value, exact_integral, negate, pwl,
+)
 
 __all__ = [
     "Design",
@@ -97,7 +100,7 @@ class Design(_Value):
         object.__setattr__(self, "_spike_slot", None)
 
     def _fields(self) -> tuple[Any, ...]:
-        return (tuple(self.points.tolist()),)
+        return (self.points,)
 
     @property
     def n(self) -> int:
@@ -117,7 +120,7 @@ class DataVector(_Value):
         object.__setattr__(self, "values", vals)
 
     def _fields(self) -> tuple[Any, ...]:
-        return (tuple(self.values.tolist()),)
+        return (self.values,)
 
 
 @dataclass(frozen=True)
@@ -403,23 +406,23 @@ def _lipschitz_bound(L: float) -> float:
     return _real(L, "Lipschitz bound must be finite and >= 0", at_least=0.0)
 
 
-def _spike(d: Design, L: float) -> tuple[FunctionSpec, float]:
-    """The zero-data upper envelope ``L * min_i |x - t_i|`` and its exact integral, for ``L > 0``.
+def _spike(d: Design, L: float) -> tuple[FunctionSpec, FunctionSpec, float]:
+    """The zero-data upper envelope ``L * min_i |x - t_i|``, its mirror and its exact integral.
 
-    The pwl carries the fooling pair's promise: bound ``L``, range
-    ``[-peak, peak]``. Zero data is consistent and its lower envelope is this
-    spike's mirror, so neither needs checking. Built once per design and
-    ``L``: ``d`` keeps the last one asked for, so a caller alternating
-    between two ``L`` rebuilds it on each call.
+    For ``L > 0``. The pwl carries the fooling pair's promise: bound ``L``,
+    range ``[-peak, peak]``, and the mirror is its :func:`negate`. Zero data
+    is consistent and its lower envelope is the mirror, so neither needs
+    checking. Built once per design and ``L``: ``d`` keeps the last one asked
+    for, so a caller alternating between two ``L`` rebuilds it on each call.
     """
     kept = d._spike_slot  # type: ignore[attr-defined]
     if kept is None or kept[0] != L:
         points = np.stack(_upper_breakpoints(d.points, np.zeros(d.n), L), 1)
         peak = float(np.abs(points[:, 1]).max())
         spike = pwl(points, Promise(L, -peak, peak) if peak > 0.0 else None)
-        kept = (L, spike, exact_integral(spike))
+        kept = (L, spike, negate(spike), exact_integral(spike))
         object.__setattr__(d, "_spike_slot", kept)  # one assignment: a race only rebuilds
-    return kept[1], kept[2]
+    return kept[1:]
 
 
 def worst_radius(d: Design, L: float) -> float:
@@ -430,7 +433,7 @@ def worst_radius(d: Design, L: float) -> float:
     mirror, so this is bitwise ``(h_hi - h_lo)/2`` of :func:`interval_H`.
     """
     L = _lipschitz_bound(L)
-    return _spike(d, L)[1] if L > 0.0 else 0.0
+    return _spike(d, L)[2] if L > 0.0 else 0.0
 
 
 def optimal_design(n: int) -> Design:

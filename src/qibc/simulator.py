@@ -62,6 +62,10 @@ repeated as one shared tuple (the midpoint circuit's adder, an amplitude
 estimation iterate) is checked and compiled once, and every slot it fills
 shares its compiled list. An :class:`OutcomeDistribution` holds its outcomes
 as those three read-only columns, ``j``, ``p`` and ``phi``.
+
+States, algorithms and distributions are values: they compare and hash by
+value, a copy or an unpickled one is rebuilt by its constructor (no program
+or cached entries travel with it), and every array they hold is read-only.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .exceptions import (
-    _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _int, _ints,
-    _past_budget, _real, _reals, _shown,
+    _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _frozen, _int,
+    _ints, _past_budget, _real, _real_array, _reals, _shown,
 )
-from .functions import FunctionSpec, _eval_grid
+from .functions import FunctionSpec, _eval_grid, _Value
 from .serialize import read_csv, reading, render_csv
 
 __all__ = [
@@ -135,9 +139,12 @@ def _check_width(nu: Any) -> int:
     return nu
 
 
-@dataclass(frozen=True)
-class QState:
-    """A unit vector of ``2^nu`` complex amplitudes (a read-only copy of the input)."""
+@dataclass(frozen=True, eq=False, repr=False)
+class QState(_Value):
+    """A unit vector of ``2^nu`` complex amplitudes (a read-only copy of the input).
+
+    ``==``, hash and repr see the amplitudes as a tuple (:class:`_Value`).
+    """
 
     nu: int
     amplitudes: np.ndarray
@@ -163,8 +170,10 @@ class QState:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen(amps))
+
+    def _fields(self) -> tuple[Any, ...]:
+        return (self.nu, self.amplitudes)
 
 
 def zero_state(nu: int) -> QState:
@@ -374,8 +383,15 @@ def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     Exactly ``2^{m'}`` distinct evaluation points — the accounting quantity
     behind the qubit lower bound. Grid, values (bitwise ``eval``'s) and codes are array passes.
     """
-    taus = _tau(np.arange(q.grid_points), q)
-    return tuple(zip(taus.tolist(), _beta(_eval_grid(f, taus), q).tolist()))
+    return tuple(zip(_tau(np.arange(q.grid_points), q).tolist(), _codes(f, q)))
+
+
+def _codes(f: FunctionSpec, q: QuerySpec) -> list[int]:
+    """``beta(f(tau(j)))`` for every grid index ``j``, as Python ints, in one array pass.
+
+    Ints, not an int64 array: the label loop tests masks against them.
+    """
+    return _beta(_eval_grid(f, _tau(np.arange(q.grid_points), q)), q).tolist()
 
 
 def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:
@@ -398,7 +414,7 @@ def bit_query(s: QState, f: FunctionSpec, q: QuerySpec) -> QState:
             f"query registers need {q.m_prime + q.m_double_prime} qubits, state has {s.nu}"
         )
     arr = s.amplitudes.copy()
-    _query(arr, [c for _, c in query_table(f, q)], q)
+    _query(arr, _codes(f, q), q)
     return QState._owning(s.nu, arr)
 
 
@@ -441,8 +457,8 @@ class _Program(NamedTuple):
     phi: np.ndarray  # decode.phi(j, M) for each j, read-only float64
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
+@dataclass(frozen=True, eq=False, repr=False)
+class AlgorithmSpec(_Value):
     """Layers ``U_0..U_T`` with ``T`` interleaved queries, then a measurement.
 
     ``layers`` has ``T + 1`` entries; a query runs after every layer but the
@@ -451,11 +467,11 @@ class AlgorithmSpec:
 
     Its program (compiled label layers and outcome columns) is built once per
     instance, on first use, and kept on the instance; it is not a field, so
-    equality, hashing, ``repr`` and JSON see the fields alone. A layer given
-    as a tuple is kept as that object, so one tuple repeated in ``layers``
-    stays one object, and the program compiles each distinct layer object
-    once. Each distinct gate object is checked once, however many layers
-    hold it.
+    equality, hashing, ``repr``, copies and JSON see the fields alone
+    (:class:`_Value`). A layer given as a tuple is kept as that object, so one
+    tuple repeated in ``layers`` stays one object, and the program compiles
+    each distinct layer object once. Each distinct gate object is checked
+    once, however many layers hold it.
     """
 
     nu: int
@@ -498,6 +514,9 @@ class AlgorithmSpec:
         if not isinstance(self.decode, (AffineDecode, Sin2Decode)):
             raise ValidationError(f"unknown decode {self.decode!r}")
 
+    def _fields(self) -> tuple[Any, ...]:
+        return (self.nu, self.query, self.layers, self.measure, self.decode)
+
     @property
     def num_queries(self) -> int:
         """T: how many times ``Q_f`` runs."""
@@ -534,9 +553,8 @@ class AlgorithmSpec:
                 phi = self.decode.phi(j, M)  # type: ignore[arg-type]
         else:
             phi = np.array([self.decode.phi(k, M) for k in range(M)], dtype=np.float64)
-        j.flags.writeable = phi.flags.writeable = False
         label = all(g.gate in _LABEL_KINDS for layer in _distinct(self.layers) for g in layer)
-        return _Program(_compile(self) if label else None, j, phi)
+        return _Program(_compile(self) if label else None, _frozen(j), _frozen(phi))
 
 
 def _distinct(layers: Iterable[tuple[GateOp, ...]]) -> Iterable[tuple[GateOp, ...]]:
@@ -556,7 +574,7 @@ def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None) -> list[int]:
     if f is None:
         raise ValidationError(f"algorithm makes {a.num_queries} queries; a function is required")
     assert a.query is not None
-    return [c for _, c in query_table(f, a.query)]
+    return _codes(f, a.query)
 
 
 def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
@@ -580,7 +598,7 @@ def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class OutcomeDistribution:
+class OutcomeDistribution(_Value):
     """Exact measurement distribution: ``(j, p_j, phi_j)`` for every outcome.
 
     Built from its ``entries``, the ``(j, p, phi)`` tuples, but held as three
@@ -588,8 +606,8 @@ class OutcomeDistribution:
     distribution from :func:`distribution` or :func:`measure` shares its
     ``j`` and ``phi`` columns with the algorithm's program, compiled once per
     ``AlgorithmSpec``, on first use, kept on the instance. ``entries`` is
-    built from the columns on first use; equality, hashing and ``repr`` are
-    those of ``entries``.
+    built from the columns on first use; equality, hashing, ``repr`` and
+    copies are those of ``entries`` (:class:`_Value`).
     """
 
     j: np.ndarray
@@ -604,13 +622,13 @@ class OutcomeDistribution:
                 f"a distribution needs at least one (j, p, phi) outcome: {exc}"
             ) from exc
         js = _ints(js, "outcome indices")
-        ps = _reals(ps, "outcome probabilities")
-        phis = _reals(phis, "decoded values")
+        p = _real_array(ps, "outcome probabilities")
+        phi = _real_array(phis, "decoded values")
         try:
             j = np.array(js, dtype=np.int64)
         except OverflowError as exc:
             raise ValidationError(f"outcome indices must fit in 64 bits: {exc}") from exc
-        self._seal(j, np.array(ps, dtype=np.float64), np.array(phis, dtype=np.float64))
+        self._seal(j, p, phi)
 
     @classmethod
     def _from_columns(cls, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> OutcomeDistribution:
@@ -620,7 +638,7 @@ class OutcomeDistribution:
         return d
 
     def _seal(self, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> None:
-        """Check the columns in one pass and keep them read-only."""
+        """Check the columns in one pass and keep them frozen (:func:`_frozen`)."""
         for what, col in (("outcome probabilities", p), ("decoded values", phi)):
             finite = np.isfinite(col)
             if not finite.all():
@@ -637,29 +655,18 @@ class OutcomeDistribution:
         if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         for name, col in (("j", j), ("p", p), ("phi", phi)):
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, _frozen(col))
 
     @cached_property
     def entries(self) -> tuple[tuple[int, float, float], ...]:
         """The ``(j, p, phi)`` tuples, in outcome order."""
         return tuple(zip(self.j.tolist(), self.p.tolist(), self.phi.tolist()))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(np.array_equal, (self.j, self.p, self.phi),
-                       (other.j, other.p, other.phi)))  # type: ignore[attr-defined]
+    def _fields(self) -> tuple[Any, ...]:
+        return (self.entries,)
 
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # named by the constructor's argument, not the columns
         return f"{self.__class__.__qualname__}(entries={self.entries!r})"
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # rebuild through __init__, so a copy gets its own checked, read-only columns
-        return (OutcomeDistribution, (self.entries,))
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:

@@ -709,6 +709,19 @@ class TestKeptSpike:
             assert self.classical_hexes(d, L, weights) == want[L]
             assert len(calls) == built, L
 
+    def test_the_mirror_is_negated_once_per_spike(self, monkeypatch):
+        calls = []
+        real = information.negate
+        d = optimal_design(7)
+        weights = tuple(range(1, 8))
+        want = {L: self.classical_hexes(Design(d.points), L, weights) for L in (1.0, 2.5)}
+        monkeypatch.setattr(information, "negate", lambda f: calls.append(f) or real(f))
+        for L, built in ((1.0, 1), (1.0, 1), (2.5, 2), (1.0, 3)):
+            assert self.classical_hexes(d, L, weights) == want[L]
+            assert len(calls) == built, L
+        assert fooling_pair(d, 1.0).f_minus is fooling_pair(d, 1.0).f_minus
+        assert len(calls) == 3
+
     def test_every_value_matches_a_fresh_design(self):
         d = Design((0.0, 0.3, 0.31, 1.0))
         first = self.classical_hexes(d, 1.5, (0.3, -0.5, 2.0, 1.0))

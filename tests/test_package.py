@@ -3,12 +3,16 @@ and ``qibc`` re-exports exactly the library modules' lists."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import qibc
+from qibc.functions import _Value
 
 MODULES = ["qibc"] + sorted(
     f"qibc.{m.name}" for m in pkgutil.iter_modules(qibc.__path__) if m.name != "__main__"
@@ -32,3 +36,21 @@ def test_package_all_is_the_module_lists():
         want += importlib.import_module(f"qibc.{name}").__all__
     assert qibc.__all__ == want
     assert len(set(want)) == len(want), "two modules export the same name"
+
+
+def test_every_value_with_an_array_or_a_cache_is_a_value():
+    """A dataclass with an ndarray field or a cached_property subclasses ``_Value``."""
+    modules = [importlib.import_module(f"qibc.{name}") for name in REEXPORTED]
+    exported = [getattr(m, n) for m in modules for n in m.__all__]
+    held = {
+        cls for cls in exported
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls) and (
+            any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+            or any(isinstance(v, functools.cached_property)
+                   for base in cls.__mro__ for v in vars(base).values()))
+    }
+    assert {c.__name__ for c in held} >= {
+        "FunctionSpec", "Design", "DataVector", "Quadrature",
+        "QState", "OutcomeDistribution", "AlgorithmSpec",
+    }
+    assert [c.__name__ for c in held if not issubclass(c, _Value)] == []

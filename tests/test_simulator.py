@@ -494,7 +494,8 @@ class TestQStateBuffers:
 
     def test_owned_buffer_is_checked_not_copied(self):
         arr = np.array([0.0, 1.0], dtype=np.complex128)
-        assert QState._owning(1, arr).amplitudes is arr
+        assert QState._owning(1, arr).amplitudes.base is arr  # a view: frozen, not copied
+        assert not arr.flags.writeable
         with pytest.raises(ValidationError):
             QState._owning(1, np.array([1.0, 1.0], dtype=np.complex128))
         with pytest.raises(ValidationError):
