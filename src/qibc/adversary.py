@@ -69,7 +69,12 @@ class Quadrature(_Value):
             raise ValidationError(
                 f"{len(values)} values for a {len(self.weights)}-weight rule"
             )
-        return math.fsum((self.weights * values).tolist())
+        terms = self.weights * values
+        if terms.dtype != np.float64 or terms.ndim != 1:  # fsum reads a float buffer
+            raise ValidationError(
+                f"observed values must be real numbers, got {terms.dtype} products"
+            )
+        return math.fsum(memoryview(terms))
 
 
 def _fooling_bound(L: float) -> float:

@@ -192,7 +192,7 @@ def best_cluster(dist: OutcomeDistribution, eps: float) -> OutcomeCluster:
     """
     rows = _window(dist, eps)
     return OutcomeCluster(members=tuple(dist.j[rows].tolist()),
-                          mass=math.fsum(dist.p[rows].tolist()))
+                          mass=math.fsum(memoryview(dist.p[rows])))
 
 
 def extract(dist: OutcomeDistribution, eps: float) -> float:

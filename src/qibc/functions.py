@@ -86,13 +86,15 @@ class Promise:
 class _Value:
     """Value semantics for a frozen dataclass that holds read-only arrays or a cache.
 
-    :meth:`_fields` gives the constructor's arguments in order. ``==``, hash
-    and repr see them with each array as tuples (rows of a 2-d array as
-    tuples too), so ``-0.0 == 0.0``, and a value prints on one line as its
-    tuple form, every float at full precision. ``__reduce__`` rebuilds
-    through ``__init__`` from the arguments, arrays as arrays, so a copy or an
-    unpickled value gets its own validated, read-only arrays and none of the
-    original's kept state: no compiled program, cached entries or spike.
+    :meth:`_fields` gives the constructor's arguments in order. Hash and repr
+    see them with each array as tuples (rows of a 2-d array as tuples too),
+    so a value prints on one line as its tuple form, every float at full
+    precision. ``==`` compares arrays with ``np.array_equal``, the tuples'
+    verdict without building them, so ``-0.0 == 0.0`` for both.
+    ``__reduce__`` rebuilds through ``__init__`` from the arguments, arrays as
+    arrays, so a copy or an unpickled value gets its own validated, read-only
+    arrays and none of the original's kept state: no compiled program, cached
+    entries or spike.
     """
 
     def _fields(self) -> tuple[Any, ...]:
@@ -106,7 +108,10 @@ class _Value:
         )
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self._key() == other._key()
+        return other.__class__ is self.__class__ and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._fields(), other._fields())  # type: ignore[attr-defined]
+        )
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -176,9 +181,8 @@ def _breakpoint_array(points: Any) -> np.ndarray:
         raise ValidationError("pwl needs at least 2 breakpoints")
     if xy.shape[1:] != (2,):
         raise ValidationError(f"pwl breakpoints must be (x, y) pairs, got shape {xy.shape}")
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        x, y = xy[np.argmin(finite)].tolist()
+    if not np.isfinite(xy).all():
+        x, y = xy[np.argmin(np.isfinite(xy).all(axis=1))].tolist()
         raise ValidationError(f"non-finite breakpoint ({x!r}, {y!r})")
     if (xy[1:, 0] <= xy[:-1, 0]).any():
         raise ValidationError("pwl breakpoint x-values must be strictly increasing")
@@ -259,8 +263,13 @@ def _eval_pwl(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     It picks ``eval``'s segment by ``searchsorted``, returns the stored
     ordinate at a breakpoint and interpolates with the same expression.
     """
+    return _eval_counted(points, xs, np.searchsorted(points[:, 0], xs, side="right"))
+
+
+def _eval_counted(points: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """:func:`_eval_pwl` given ``counts``, the number of breakpoint abscissae ``<=`` each x."""
     px, py = points[:, 0], points[:, 1]
-    i = np.minimum(np.searchsorted(px, xs, side="right") - 1, len(px) - 2)
+    i = np.minimum(counts - 1, len(px) - 2)
     x0, y0, x1, y1 = px[i], py[i], px[i + 1], py[i + 1]
     return np.where(
         xs == x0, y0, np.where(xs == x1, y1, y0 + (y1 - y0) * ((xs - x0) / (x1 - x0)))
@@ -310,9 +319,10 @@ def exact_integral(f: FunctionSpec) -> float:
     dx, y0, y1 = x[1:] - x[:-1], y[:-1], y[1:]
     with np.errstate(over="ignore"):
         terms = dx * (y0 + y1) / 2.0
-    over = np.isinf(terms)
-    terms[over] = dx[over] * (y0[over] / 2.0 + y1[over] / 2.0)
-    return math.fsum(terms.tolist())
+    if np.isinf(terms).any():
+        over = np.isinf(terms)
+        terms[over] = dx[over] * (y0[over] / 2.0 + y1[over] / 2.0)
+    return math.fsum(memoryview(terms))
 
 
 def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:

@@ -30,10 +30,11 @@ The effect on integrals is a few ulps at most.
 
 Design points and data values are read-only float arrays, and the per-point
 work runs as numpy array passes: the consistency check, the kinks and float
-checks of every design gap, and the ``Envelope`` check.
-Elementwise ``+ - * /`` and ``nextafter`` are the IEEE operations of scalar
-code, so the outputs are bitwise those of a gap-by-gap loop. Only the few
-gaps whose float check fails run the scalar repair steps.
+checks of every design gap, the pull of straddle ends onto their cones, and
+the ``Envelope`` check. Elementwise ``+ - * /`` and ``nextafter`` are the
+IEEE operations of scalar code, so the outputs are bitwise those of a
+gap-by-gap loop. Only the few gaps that need a nudge, the sag, or a kink
+outside the gap run the scalar repair steps.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .exceptions import (
     CapacityError, InfeasibleDataError, ValidationError, _budget, _int, _real, _real_array,
 )
 from .functions import (
-    FunctionSpec, Promise, _eval_grid, _eval_pwl, _Value, exact_integral, negate, pwl,
+    FunctionSpec, Promise, _eval_counted, _eval_grid, _Value, exact_integral, negate, pwl,
 )
 
 __all__ = [
@@ -132,6 +133,12 @@ class Envelope:
     there. In array passes, each member's breakpoints are checked against the
     other member at those abscissae, valued as ``eval`` would; the smaller of
     the two first failures is the first over the merged breakpoints.
+
+    One ``searchsorted`` of the upper abscissae into the lower serves both
+    members (:func:`_mutual_counts`): a cumulative ``bincount`` of its result
+    counts the upper abscissae strictly left of each lower one, plus one
+    where the next upper abscissa equals it (``-0.0 == 0.0``, as in
+    ``searchsorted``).
     """
 
     upper: FunctionSpec
@@ -141,15 +148,28 @@ class Envelope:
         if self.upper.family != "pwl" or self.lower.family != "pwl":
             raise ValidationError("envelope members must be piecewise-linear")
         up, low = self.upper.points, self.lower.points
-        bad_up = _eval_pwl(low, up[:, 0]) > up[:, 1] + CONSISTENCY_TOL
-        bad_low = low[:, 1] > _eval_pwl(up, low[:, 0]) + CONSISTENCY_TOL
+        ux, lx = up[:, 0], low[:, 0]
+        at_up, at_low = _mutual_counts(ux, lx)
+        bad_up = _eval_counted(low, ux, at_up) > up[:, 1] + CONSISTENCY_TOL
+        bad_low = low[:, 1] > _eval_counted(up, lx, at_low) + CONSISTENCY_TOL
         first = [
             xs[np.argmax(bad)]
-            for xs, bad in ((up[:, 0], bad_up), (low[:, 0], bad_low))
+            for xs, bad in ((ux, bad_up), (lx, bad_low))
             if bad.any()
         ]
         if first:  # on a tie (0.0 and -0.0) min keeps the upper member's abscissa
             raise ValidationError(f"lower envelope exceeds upper at x={float(min(first))}")
+
+
+def _mutual_counts(ux: np.ndarray, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``searchsorted(lx, ux, "right")`` and ``searchsorted(ux, lx, "right")`` from one search.
+
+    For strictly increasing columns, ``ux[i] < lx[k]`` iff at most ``k`` of
+    ``lx`` are ``<= ux[i]``.
+    """
+    at_up = np.searchsorted(lx, ux, side="right")
+    left = np.cumsum(np.bincount(at_up, minlength=len(lx) + 1)[:-1])
+    return at_up, left + (ux[np.minimum(left, len(ux) - 1)] == lx)
 
 
 @dataclass(frozen=True)
@@ -235,8 +255,13 @@ def _upper_breakpoints(
 
     One array pass computes, for every gap at once, the kink, the straddle
     pair and the float check of every segment they make. A gap whose checks
-    pass emits its breakpoints directly; only the few that fail go through
-    :func:`_repaired_kinks` and the walk of :func:`_gap_kinks`.
+    pass emits its breakpoints directly. A straddle that fails but lies
+    inside its gap has its ends pulled onto their cones in the pass
+    (:func:`_pulled`) and passes if ``|yr - yl| <= L (xr - xl)`` then holds
+    in floats: that is where :func:`_repaired_kinks` returns before any nudge,
+    and the three segment tests of :func:`_gap_kinks` are the straddle's own.
+    Only the gaps left over, which need a nudge, the sag, or a kink outside
+    the gap, go through those two scalar steps.
     """
     t1, y1, t2, y2 = t[:-1], y[:-1], t[1:], y[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # masked by ``inside`` below
@@ -256,10 +281,16 @@ def _upper_breakpoints(
             & (np.abs(yr - yl) <= mid) & (np.abs(y2 - yr) <= rb)
         )
     inside = (t1 < xk) & (xk < t2)
+    failed = np.flatnonzero(inside & ~single & ~straddle)
+    # a straddle inside its gap whose ends only miss their cones by rounding:
+    # pulled on, it passes or fails as the scalar repair's first test does
+    pull = failed[(t1[failed] < xl[failed]) & (xr[failed] < t2[failed])]
+    yl[pull], yr[pull] = _pulled(y1[pull], lb[pull]), _pulled(y2[pull], rb[pull])
+    straddle[pull] = np.abs(yr[pull] - yl[pull]) <= mid[pull]
+    failed = failed[~straddle[failed]]
     kinks = np.where(single, 1, np.where(straddle, 2, 0)) * inside
     xs = np.stack((t1, np.where(single, xk, xl), xr), axis=1)
     vs = np.stack((y1, np.where(single, yk, yl), yr), axis=1)
-    failed = np.flatnonzero(inside & ~single & ~straddle)
     rows = zip(*(a[failed].tolist() for a in (t1, y1, t2, y2, xk, xl, xr, yl, yr, lb, rb, mid)))
     for g, row in zip(failed.tolist(), rows):
         repaired = _gap_kinks(*row[:4], L, _repaired_kinks(L, *row))
@@ -362,6 +393,22 @@ def _pull_onto_cone(moving: float, anchor: float, bound: float) -> float:
     while abs(target - anchor) > bound:
         target = math.nextafter(target, anchor)
     return target
+
+
+def _pulled(anchor: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``_pull_onto_cone(anchor + bound, anchor, bound)`` of each element, bit for bit.
+
+    For finite ``bound >= 0``: the sum is already the scalar jump target, so
+    only the walk remains, one ``nextafter`` pass over the elements still off
+    their cone. A ``-inf`` bound would never stop the walk.
+    """
+    with np.errstate(over="ignore"):  # inf, as in scalar code, walks back to the largest float
+        y = anchor + bound
+    off = np.flatnonzero(np.abs(y - anchor) > bound)
+    while len(off):
+        y[off] = np.nextafter(y[off], anchor[off])
+        off = off[np.abs(y[off] - anchor[off]) > bound[off]]
+    return y
 
 
 def envelopes(d: Design, y: DataVector, L: float) -> Envelope:

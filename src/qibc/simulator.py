@@ -383,15 +383,19 @@ def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     Exactly ``2^{m'}`` distinct evaluation points — the accounting quantity
     behind the qubit lower bound. Grid, values (bitwise ``eval``'s) and codes are array passes.
     """
-    return tuple(zip(_tau(np.arange(q.grid_points), q).tolist(), _codes(f, q)))
+    taus = _tau(np.arange(q.grid_points), q)
+    return tuple(zip(taus.tolist(), _codes(f, q, taus)))
 
 
-def _codes(f: FunctionSpec, q: QuerySpec) -> list[int]:
+def _codes(f: FunctionSpec, q: QuerySpec, taus: np.ndarray | None = None) -> list[int]:
     """``beta(f(tau(j)))`` for every grid index ``j``, as Python ints, in one array pass.
 
     Ints, not an int64 array: the label loop tests masks against them.
+    ``taus`` is the grid when the caller has built it already.
     """
-    return _beta(_eval_grid(f, _tau(np.arange(q.grid_points), q)), q).tolist()
+    if taus is None:
+        taus = _tau(np.arange(q.grid_points), q)
+    return _beta(_eval_grid(f, taus), q).tolist()
 
 
 def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:
@@ -644,14 +648,15 @@ class OutcomeDistribution(_Value):
             if not finite.all():
                 bad = col[np.argmin(finite)].item()
                 raise ValidationError(f"{what} must be finite, got {bad!r}")
-        js = j.tolist()
-        if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
-            dup = next(k for k in js if js.count(k) > 1)
-            raise ValidationError(f"duplicate outcome index {dup}")
+        if not (j[1:] > j[:-1]).all():  # increasing, as every program's j is, has no duplicate
+            js = j.tolist()
+            if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
+                dup = next(k for k in js if js.count(k) > 1)
+                raise ValidationError(f"duplicate outcome index {dup}")
         if p.min() < 0.0:
             k = int(np.argmax(p < 0.0))
-            raise ValidationError(f"probability of outcome {js[k]} is {p[k].item()!r}")
-        total = math.fsum(p.tolist())
+            raise ValidationError(f"probability of outcome {j[k].item()} is {p[k].item()!r}")
+        total = math.fsum(memoryview(p))
         if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         for name, col in (("j", j), ("p", p), ("phi", phi)):

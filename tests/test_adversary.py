@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,3 +194,10 @@ class TestQuadratureValidation:
     def test_non_finite_weight(self):
         with pytest.raises(ValidationError):
             Quadrature(Design((0.5,)), (float("nan"),))
+
+    def test_values_must_be_real_numbers(self):
+        q = Quadrature(Design((0.25, 0.75)), (0.5, 0.25))
+        assert q.apply((2, True)) == q.apply(np.array([2.0, 1.0])) == 1.25
+        for values in ((Fraction(1, 3), 1.0), (1j, 1.0), np.ones((2, 2))):
+            with pytest.raises(ValidationError, match=r"^observed values must be real numbers"):
+                q.apply(values)

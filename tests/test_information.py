@@ -233,6 +233,48 @@ class TestEnvelopeCheck:
         assert str(exc.value) == f"lower envelope exceeds upper at x={up_start}"
 
 
+def increasing_columns():
+    """A strictly increasing float column, some values drawn from a shared pool."""
+    pool = st.sets(st.floats(-2.0, 2.0), min_size=1, max_size=8)
+    return st.tuples(pool, pool, pool).map(
+        lambda p: tuple(np.array(sorted(c), dtype=float) for c in (p[0] | p[1], p[0] | p[2]))
+    )
+
+
+class TestMutualCounts:
+    """The reverse counts derived from one search equal a second ``searchsorted``."""
+
+    @staticmethod
+    def assert_both_searches(ux, lx):
+        at_up, at_low = information._mutual_counts(ux, lx)
+        assert at_up.tolist() == np.searchsorted(lx, ux, side="right").tolist()
+        assert at_low.tolist() == np.searchsorted(ux, lx, side="right").tolist()
+
+    @given(envelope_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_envelope_pairs(self, pair):
+        upper, lower = pair
+        self.assert_both_searches(upper.points[:, 0], lower.points[:, 0])
+        self.assert_both_searches(lower.points[:, 0], upper.points[:, 0])
+
+    @given(increasing_columns())
+    @settings(max_examples=500, deadline=None)
+    def test_shared_and_disjoint_abscissae(self, cols):
+        self.assert_both_searches(*cols)
+
+    @pytest.mark.parametrize("up_start, low_start", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_signed_zero_start(self, up_start, low_start):
+        ux = np.array([up_start, 0.25, 0.5, 1.0])
+        lx = np.array([low_start, 0.5, 0.75, 1.0])
+        self.assert_both_searches(ux, lx)
+        at_up, at_low = information._mutual_counts(ux, lx)
+        assert at_low.tolist() == [1, 3, 3, 4]
+
+    def test_one_column_past_the_other(self):
+        self.assert_both_searches(np.array([0.0, 0.1]), np.array([0.5, 0.75, 1.0]))
+        self.assert_both_searches(np.array([0.5, 0.75, 1.0]), np.array([0.0, 0.1]))
+
+
 class TestConsistencyCheck:
     @given(walk_data())
     @settings(max_examples=1000, deadline=None)
@@ -504,6 +546,49 @@ class TestPullOntoCone:
         y = information._pull_onto_cone(1.0, 0.1, 0.2)
         assert y == 0.3 and abs(y - 0.1) <= 0.2
         assert abs(math.nextafter(y, 1.0) - 0.1) > 0.2
+
+
+def scalar_pulls(anchor, bound):
+    return [information._pull_onto_cone(a + b, a, b).hex() for a, b in zip(anchor, bound)]
+
+
+class TestPulledInThePass:
+    """``_pulled``, the array pull of the straddle ends, against ``_pull_onto_cone``."""
+
+    @given(st.lists(st.tuples(
+        st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 1.0) | st.floats(0.0, 1e-300) | st.floats(0.0, allow_infinity=False),
+    ), min_size=1, max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_scalar_pull_bitwise(self, pairs):
+        anchor, bound = (np.array(c, dtype=float) for c in zip(*pairs))
+        got = information._pulled(anchor, bound)
+        assert [v.hex() for v in got.tolist()] == scalar_pulls(anchor.tolist(), bound.tolist())
+
+    def test_random_pairs_with_walks(self):
+        rng = np.random.default_rng(7)
+        anchor = rng.uniform(-1.0, 1.0, 20_000)
+        bound = rng.uniform(0.0, 1.0, 20_000) * 10.0 ** rng.integers(-20, 1, 20_000)
+        anchor[:2], bound[:2] = (0.1, 1e308), (0.2, 1e308)  # a walk; an overflow to inf
+        got = information._pulled(anchor, bound)
+        assert [v.hex() for v in got.tolist()] == scalar_pulls(anchor.tolist(), bound.tolist())
+        assert got[0] == 0.3 and got[0] != 0.1 + 0.2
+        assert got[1] == np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert 1000 < np.count_nonzero(got != anchor + bound)
+
+    def test_scalar_repair_is_left_to_nudges_and_sags(self, monkeypatch):
+        calls = []
+        real = information._repaired_kinks
+        monkeypatch.setattr(
+            information, "_repaired_kinks", lambda *a: calls.append(a) or real(*a)
+        )
+        for seed in range(5):
+            rng = np.random.default_rng(4000 + seed)
+            d = random_design(rng, 2000)
+            envelopes(d, DataVector(random_consistent_data(rng, d, 1.0)), 1.0)
+        # pulling the straddle ends only in the scalar step ran it 591 times here
+        assert len(calls) <= 5
 
 
 class TestIntervalH:

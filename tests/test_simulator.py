@@ -339,6 +339,17 @@ class TestTauBeta:
         assert len(table) == 8
         assert len({t for t, _ in table}) == 8
 
+    def test_each_path_builds_the_tau_grid_once(self, monkeypatch):
+        grids = []
+        real = qibc.simulator._tau
+        monkeypatch.setattr(qibc.simulator, "_tau", lambda j, q: grids.append(j) or real(j, q))
+        q = QuerySpec(3, 2, 0.0, 1.0, "midpoint")
+        query_table(RAMP, q)
+        bit_query(zero_state(5), RAMP, q)
+        distribution(midpoint_algorithm(2, 3, -1.0, 1.0), RAMP)
+        distribution(build_ae_mean(2, 3, -1.0, 1.0), RAMP)
+        assert len(grids) == 4
+
 
 _BIG = math.nextafter(math.inf, 0.0)
 _VALUES = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e308, -1e308, _BIG, -_BIG])
@@ -694,6 +705,22 @@ class TestOutcomeColumns:
             build(j, np.array([0.5, 0.5]), np.array([0.0, np.inf]))
         with pytest.raises(ValidationError, match=r"^probabilities sum to 0.5, expected 1$"):
             build(j, np.array([0.25, 0.25]), phi)
+
+    def test_unordered_indices_are_still_scanned_for_duplicates(self):
+        # an increasing j, as every program's is, cannot repeat; any other
+        # order gets the scan and names the first repeated index
+        phi = np.zeros(4)
+        p = np.full(4, 0.25)
+        build = OutcomeDistribution._from_columns
+        for j, dup in (([3, 1, 3, 0], 3), ([0, 2, 1, 2], 2), ([5, 4, 4, 6], 4)):
+            with pytest.raises(ValidationError, match=rf"^duplicate outcome index {dup}$"):
+                build(np.array(j, dtype=np.int64), p, phi)
+            with pytest.raises(ValidationError, match=rf"^duplicate outcome index {dup}$"):
+                OutcomeDistribution(zip(j, p.tolist(), phi.tolist()))
+        d = build(np.array([2, 0, 3, 1], dtype=np.int64), p, phi)
+        assert d.j.tolist() == [2, 0, 3, 1]
+        with pytest.raises(ValidationError, match=r"^probability of outcome 7 is -0.5$"):
+            OutcomeDistribution(((9, 1.5, 0.0), (7, -0.5, 0.0)))
 
     def test_index_past_64_bits_is_refused(self):
         with pytest.raises(ValidationError, match="outcome indices must fit in 64 bits"):

@@ -190,3 +190,28 @@ def test_copies_carry_arrays_as_arrays():
     # a pickled 12-qubit state or 4096-point design is its raw bytes plus a small header
     for v, raw in ((zero_state(12), 16 << 12), (Design(np.arange(4096) / 4096), 8 << 12)):
         assert raw < len(pickle.dumps(v)) < raw + 1024, type(v).__name__
+
+
+def test_equality_compares_arrays_without_their_tuples(monkeypatch):
+    def no_tuples(self):
+        raise AssertionError(f"{type(self).__name__}: == built the tuple key")
+
+    a, b = zero_state(20), zero_state(20)
+    monkeypatch.setattr(QState, "_key", no_tuples)
+    assert a == b and not a != b
+    assert a != apply_gate(zero_state(20), GateOp("X", (19,)))
+    monkeypatch.undo()
+    assert hash(a) == hash(b)
+
+
+def test_equal_values_hash_equal_across_signed_zeros():
+    pairs = [
+        (DataVector((0.0, 1.0)), DataVector((-0.0, 1.0))),
+        (Design((0.0, 0.5)), Design((-0.0, 0.5))),
+        (pwl(((0.0, -0.0), (1.0, 0.0))), pwl(((-0.0, 0.0), (1.0, -0.0)))),
+        (Quadrature(Design((0.5,)), (0.0,)), Quadrature(Design((0.5,)), (-0.0,))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), type(a).__name__
+    assert DataVector((0.0, 1.0)) != DataVector((0.0, 1.0, 2.0))
+    assert pwl(((0.0, 0.0), (1.0, 0.0))) != constant(0.0)
