@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .exceptions import ValidationError, _real, _real_array
+from .exceptions import ValidationError, _float_array, _real, _real_array
 from .functions import FunctionSpec, _Value
 from .information import Design, _spike, worst_radius
 
@@ -69,12 +69,8 @@ class Quadrature(_Value):
             raise ValidationError(
                 f"{len(values)} values for a {len(self.weights)}-weight rule"
             )
-        terms = self.weights * values
-        if terms.dtype != np.float64 or terms.ndim != 1:  # fsum reads a float buffer
-            raise ValidationError(
-                f"observed values must be real numbers, got {terms.dtype} products"
-            )
-        return math.fsum(memoryview(terms))
+        vs = _float_array(values, "observed values")
+        return math.fsum(memoryview(self.weights * vs))
 
 
 def _fooling_bound(L: float) -> float:

@@ -160,20 +160,35 @@ def _reals(values: Any, what: str) -> tuple[float, ...]:
     return out
 
 
+def _float_array(values: Any, what: str) -> np.ndarray:
+    """``values`` as a 1-d float64 array, else ``{what} must be real numbers: ...``.
+
+    A 1-d float64 array is returned as it is; anything else goes through
+    ``float`` value by value, so every value and every error is the one
+    ``float`` gives. A complex array is refused first: ``float`` would drop
+    its imaginary parts with only a warning. Values are not checked for
+    being finite.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype == np.float64:
+            return values
+        if values.dtype.kind == "c":
+            raise ValidationError(f"{what} must be real numbers, got a {values.dtype} array")
+    try:
+        return np.fromiter(map(float, values), dtype=float)
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+
+
 def _real_array(values: Any, what: str) -> np.ndarray:
     """``values`` as a fresh read-only float64 array of finite floats, else as :func:`_reals`.
 
-    A 1-d float64 array is copied; anything else goes through ``float`` value
-    by value, so every value and every error is the one ``float`` gives. The
-    array is frozen by :func:`_frozen`.
+    Converted by :func:`_float_array`, copied if that gave ``values`` itself,
+    and frozen by :func:`_frozen`.
     """
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == np.float64:
-        out = values.copy()
-    else:
-        try:
-            out = np.fromiter(map(float, values), dtype=float)
-        except _CONVERSION_ERRORS as exc:
-            raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+    out = _float_array(values, what)
+    if out is values:
+        out = out.copy()
     finite = np.isfinite(out)
     if not finite.all():
         raise ValidationError(f"{what} must be finite, got {out[np.argmin(finite)].item()!r}")

@@ -258,7 +258,7 @@ def _upper_breakpoints(
     pass emits its breakpoints directly. A straddle that fails but lies
     inside its gap has its ends pulled onto their cones in the pass
     (:func:`_pulled`) and passes if ``|yr - yl| <= L (xr - xl)`` then holds
-    in floats: that is where :func:`_repaired_kinks` returns before any nudge,
+    in floats: that is the first test of :func:`_repaired_kinks`' nudge loop,
     and the three segment tests of :func:`_gap_kinks` are the straddle's own.
     Only the gaps left over, which need a nudge, the sag, or a kink outside
     the gap, go through those two scalar steps.
@@ -291,7 +291,7 @@ def _upper_breakpoints(
     kinks = np.where(single, 1, np.where(straddle, 2, 0)) * inside
     xs = np.stack((t1, np.where(single, xk, xl), xr), axis=1)
     vs = np.stack((y1, np.where(single, yk, yl), yr), axis=1)
-    rows = zip(*(a[failed].tolist() for a in (t1, y1, t2, y2, xk, xl, xr, yl, yr, lb, rb, mid)))
+    rows = zip(*(a[failed].tolist() for a in (t1, y1, t2, y2, xk, xl, xr, yl, yr, mid)))
     for g, row in zip(failed.tolist(), rows):
         repaired = _gap_kinks(*row[:4], L, _repaired_kinks(L, *row))
         kinks[g] = len(repaired)
@@ -310,17 +310,15 @@ def _upper_breakpoints(
 
 def _repaired_kinks(
     L: float, t: float, y: float, t2: float, y2: float, xk: float,
-    xl: float, xr: float, yl: float, yr: float, lb: float, rb: float, mid: float,
+    xl: float, xr: float, yl: float, yr: float, mid: float,
 ) -> list[tuple[float, float]]:
     """Kinks of one gap whose float checks failed in the array pass.
 
-    Starts from that pass's values: the straddle ordinates are pulled onto
-    their cones and nudged; if no pair fits, or the straddle leaves the gap,
-    the single kink is sagged.
+    Starts from that pass's values, whose straddle ordinates the pass has
+    already pulled onto their cones: they are nudged; if no pair fits, or the
+    straddle leaves the gap, the single kink is sagged.
     """
     if t < xl and xr < t2:
-        yl = _pull_onto_cone(yl, y, lb)
-        yr = _pull_onto_cone(yr, y2, rb)
         for _ in range(_MAX_NUDGES):
             if abs(yr - yl) <= mid:
                 return [(xl, yl), (xr, yr)]

@@ -384,18 +384,15 @@ def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     behind the qubit lower bound. Grid, values (bitwise ``eval``'s) and codes are array passes.
     """
     taus = _tau(np.arange(q.grid_points), q)
-    return tuple(zip(taus.tolist(), _codes(f, q, taus)))
+    return tuple(zip(taus.tolist(), _beta(_eval_grid(f, taus), q).tolist()))
 
 
-def _codes(f: FunctionSpec, q: QuerySpec, taus: np.ndarray | None = None) -> list[int]:
+def _codes(f: FunctionSpec, q: QuerySpec) -> list[int]:
     """``beta(f(tau(j)))`` for every grid index ``j``, as Python ints, in one array pass.
 
     Ints, not an int64 array: the label loop tests masks against them.
-    ``taus`` is the grid when the caller has built it already.
     """
-    if taus is None:
-        taus = _tau(np.arange(q.grid_points), q)
-    return _beta(_eval_grid(f, taus), q).tolist()
+    return _beta(_eval_grid(f, _tau(np.arange(q.grid_points), q)), q).tolist()
 
 
 def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:

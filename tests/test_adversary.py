@@ -196,8 +196,13 @@ class TestQuadratureValidation:
             Quadrature(Design((0.5,)), (float("nan"),))
 
     def test_values_must_be_real_numbers(self):
+        # every value goes through float, so a Fraction or an int past int64
+        # sums as its float does
         q = Quadrature(Design((0.25, 0.75)), (0.5, 0.25))
         assert q.apply((2, True)) == q.apply(np.array([2.0, 1.0])) == 1.25
-        for values in ((Fraction(1, 3), 1.0), (1j, 1.0), np.ones((2, 2))):
+        third = float(Fraction(1, 3))
+        assert q.apply((Fraction(1, 3), 1.0)) == math.fsum([0.5 * third, 0.25])
+        assert q.apply((2**70, 0)) == 2.0**69
+        for values in ((1j, 1.0), np.array([1j, 1.0]), np.ones((2, 2)), ("a", 1.0), (10**400, 1.0)):
             with pytest.raises(ValidationError, match=r"^observed values must be real numbers"):
                 q.apply(values)
