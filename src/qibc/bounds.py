@@ -36,9 +36,9 @@ from .exceptions import (
     MAX_QUBITS, CapacityError, PremiseViolationError, ValidationError, _ints, _past_budget, _real,
     _reals,
 )
-from .functions import FunctionSpec, exact_integral
+from .functions import FunctionSpec, _integrals
 from .information import m_eps, query_complexity
-from .simulator import AlgorithmSpec, OutcomeDistribution, _distributions
+from .simulator import AlgorithmSpec, OutcomeDistribution, _outcomes
 
 __all__ = [
     "MASS_THRESHOLD",
@@ -98,13 +98,26 @@ def local_error(dist: OutcomeDistribution, truth: float) -> float:
     bitwise the running sum of a scalar loop.
     """
     truth = _real(truth, "truth must be finite")
-    d = np.abs(truth - dist.phi)
-    order = np.lexsort((dist.j, d))
-    reached = np.cumsum(dist.p[order]) >= MASS_THRESHOLD - MASS_TOL
-    k = int(np.argmax(reached))
-    if not reached[k]:  # unreachable: the distribution sums to 1 >= 3/4
+    return _local_errors(dist.j, dist.p[None], dist.phi, (truth,))[0]
+
+
+def _local_errors(
+    j: np.ndarray, P: np.ndarray, phi: np.ndarray, truths: Sequence[float]
+) -> list[float]:
+    """:func:`local_error` of each row of the probability block ``P`` against its truth.
+
+    The running sum and ``argmax`` go along each row in order, so each row
+    gets the bits it would get alone.
+    """
+    d = np.abs(np.array(truths)[:, None] - phi)
+    order = np.lexsort((j[None].repeat(len(P), 0), d))
+    starts = np.arange(0, P.size, P.shape[1])
+    order += starts[:, None]  # flat indices into the block
+    reached = np.add.accumulate(P.ravel()[order], axis=1) >= MASS_THRESHOLD - MASS_TOL
+    k = reached.argmax(axis=1) + starts
+    if not reached.ravel()[k].all():  # unreachable: every row sums to 1 >= 3/4
         raise AssertionError("distribution mass below 3/4")
-    return float(d[order[k]])
+    return d.ravel()[order.ravel()[k]].tolist()
 
 
 def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
@@ -141,19 +154,25 @@ def worst_prob_error(
 
     A computable surrogate for the supremum over the whole promise class;
     ``truths`` defaults to the exact integrals of the family members.
+
+    The family is scored as one block, bitwise as member by member: one
+    pass each for the truths, a label circuit's outcomes and the local
+    errors. A dense circuit is run and scored one member at a time.
     """
     family = list(family)
     if not family:
         raise ValidationError("the function family must be nonempty")
     if truths is None:
-        truths = [exact_integral(f) for f in family]
+        truths = _integrals(family)
     truths = _reals(truths, "truths")
     if len(truths) != len(family):
         raise ValidationError(
             f"{len(truths)} truths for a family of {len(family)} functions"
         )
-    dists = _distributions(a, family)  # the circuit compiles once per AlgorithmSpec
-    return max(0.0, *(local_error(d, truth) for d, truth in zip(dists, truths)))
+    errors: list[float] = []
+    for j, P, phi in _outcomes(a, family):
+        errors += _local_errors(j, P, phi, truths[len(errors):len(errors) + len(P)])
+    return max(0.0, *errors)
 
 
 def _window(dist: OutcomeDistribution, eps: float) -> np.ndarray:

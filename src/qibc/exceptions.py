@@ -16,7 +16,8 @@ Every number the library takes in (``L``, ``eps``, data, register sizes,
 module, so one rule decides what a valid number is and which error a bad one
 raises:
 
-* a real is any value that ``float()`` converts to a finite float;
+* a real is any value that ``float()`` converts to a finite float, and not
+  a numpy complex (``float()`` drops its imaginary part);
 * an integer is any value ``v`` with ``int(v) == v``: ``16`` and ``16.0``
   pass, while ``0.9``, ``"1"``, ``inf`` and ``nan`` fail, so no qubit index
   or register size is silently truncated;
@@ -129,7 +130,7 @@ def _real(value: Any, message: str, *, above: float = -math.inf,
           at_least: float = -math.inf) -> float:
     """``value`` as a finite float ``> above`` and ``>= at_least``, else ``{message}, got ...``."""
     try:
-        v = float(value)
+        v = _float(value)
     except _CONVERSION_ERRORS:
         v = math.nan
     if math.isfinite(v) and v > above and v >= at_least:
@@ -148,10 +149,34 @@ def _int(value: Any, message: str, at_least: int) -> int:
     raise ValidationError(f"{message}, got {_shown(value)}")
 
 
+#: What ``float`` of a Python complex raises, said of a numpy complex too.
+_NOT_REAL = "float() argument must be a string or a real number, not {!r}"
+
+
+def _float(value: Any) -> float:
+    """``float(value)``, refusing a numpy complex as ``float`` refuses a Python one."""
+    if isinstance(value, np.complexfloating):
+        raise TypeError(_NOT_REAL.format(type(value).__name__))
+    return float(value)
+
+
+def _listed(values: Any) -> list[Any]:
+    """``values`` as a list, with :func:`_float`'s ``TypeError`` at a numpy complex or its array.
+
+    The distinct value types are tested first, so plain floats take one pass.
+    """
+    vals = list(values)
+    if any(issubclass(t, (np.complexfloating, np.ndarray)) for t in set(map(type, vals))):
+        for v in vals:
+            if isinstance(v, (np.complexfloating, np.ndarray)) and v.dtype.kind == "c":
+                raise TypeError(_NOT_REAL.format(type(v).__name__))
+    return vals
+
+
 def _reals(values: Any, what: str) -> tuple[float, ...]:
     """``values`` as a tuple of finite floats, converted in one pass."""
     try:
-        out = tuple(map(float, values))
+        out = tuple(map(float, _listed(values)))
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
     if not all(map(math.isfinite, out)):
@@ -165,9 +190,9 @@ def _float_array(values: Any, what: str) -> np.ndarray:
 
     A 1-d float64 array is returned as it is; anything else goes through
     ``float`` value by value, so every value and every error is the one
-    ``float`` gives. A complex array is refused first: ``float`` would drop
-    its imaginary parts with only a warning. Values are not checked for
-    being finite.
+    ``float`` gives. A complex array, or a numpy complex among the values,
+    is refused first (:func:`_listed`). Values are not checked for being
+    finite.
     """
     if isinstance(values, np.ndarray):
         if values.ndim == 1 and values.dtype == np.float64:
@@ -175,7 +200,7 @@ def _float_array(values: Any, what: str) -> np.ndarray:
         if values.dtype.kind == "c":
             raise ValidationError(f"{what} must be real numbers, got a {values.dtype} array")
     try:
-        return np.fromiter(map(float, values), dtype=float)
+        return np.fromiter(map(float, _listed(values)), dtype=float)
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
 

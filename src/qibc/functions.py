@@ -29,12 +29,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .exceptions import (
-    _CONVERSION_ERRORS, DomainError, ValidationError, _budget, _frozen, _int, _real, _reals,
+    _CONVERSION_ERRORS, DomainError, ValidationError, _budget, _float, _frozen, _int, _listed,
+    _real, _reals,
 )
 from .serialize import reading
 
@@ -173,8 +174,13 @@ class FunctionSpec(_Value):
 def _breakpoint_array(points: Any) -> np.ndarray:
     """``points`` as a fresh read-only float ``(n, 2)`` array, checked as pwl breakpoints."""
     try:
-        xy = np.array(points if isinstance(points, np.ndarray) else list(points),
-                      dtype=float, ndmin=1)
+        if isinstance(points, np.ndarray):
+            if points.dtype.kind == "c":
+                raise TypeError(f"got a {points.dtype} array")
+        else:
+            points = _listed(points)
+            _listed(v for row in points if isinstance(row, (tuple, list)) for v in row)
+        xy = np.array(points, dtype=float, ndmin=1)
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"pwl breakpoints must be pairs of real numbers: {exc}") from exc
     if len(xy) < 2:
@@ -227,7 +233,7 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     at a pwl breakpoint: it returns the stored ``y`` bitwise.
     """
     try:
-        x = float(x)
+        x = _float(x)
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"evaluation point must be a real number: {exc}") from exc
     if not 0.0 <= x <= 1.0:
@@ -268,21 +274,46 @@ def _eval_pwl(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _eval_counted(points: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """:func:`_eval_pwl` given ``counts``, the number of breakpoint abscissae ``<=`` each x."""
+    return _on_segments(points, xs, np.minimum(counts - 1, len(points) - 2))
+
+
+def _on_segments(points: np.ndarray, xs: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """``eval``'s value at each of ``xs`` on the segment from row ``i`` to row ``i + 1``."""
     px, py = points[:, 0], points[:, 1]
-    i = np.minimum(counts - 1, len(px) - 2)
     x0, y0, x1, y1 = px[i], py[i], px[i + 1], py[i + 1]
     return np.where(
         xs == x0, y0, np.where(xs == x1, y1, y0 + (y1 - y0) * ((xs - x0) / (x1 - x0)))
     )
 
 
-def _eval_grid(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
-    """``eval`` of ``f`` at each of ``xs``, a float array in [0, 1], bit for bit."""
-    if f.family == "pwl":
-        return _eval_pwl(f.points, xs)  # type: ignore[arg-type]
-    if f.family == "constant":
-        return np.full(len(xs), f.value)
-    return np.array([eval(f, x) for x in xs.tolist()])  # trig: one fsum per point
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The rows of ``arrays`` as one array; a lone array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _eval_grid(family: Sequence[FunctionSpec], xs: np.ndarray) -> np.ndarray:
+    """``eval`` of each member of ``family`` (a row each) at each of ``xs`` in [0, 1], bit for bit.
+
+    The pwl members share one gather over their concatenated breakpoints.
+    """
+    out = np.empty((len(family), len(xs)))
+    rows, pts, segs, start = [], [], [], 0
+    for r, f in enumerate(family):
+        if f.family == "pwl":
+            p = f.points
+            seg = np.minimum(p[:, 0].searchsorted(xs, side="right") - 1, len(p) - 2)
+            seg += start  # the member's rows start here in the concatenation
+            rows.append(r)
+            pts.append(p)
+            segs.append(seg)
+            start += len(p)
+        elif f.family == "constant":
+            out[r] = f.value
+        else:
+            out[r] = [eval(f, x) for x in xs.tolist()]
+    if pts:
+        out[rows] = _on_segments(_joined(pts), xs, np.array(segs))
+    return out
 
 
 def eval_many(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
@@ -299,7 +330,7 @@ def eval_many(f: FunctionSpec, xs: Iterable[float]) -> list[float]:
     if grid is None or not ((grid >= 0.0) & (grid <= 1.0)).all():
         for x in xs:
             eval(f, x)  # raises at the first bad point
-    return _eval_grid(f, grid).tolist()  # type: ignore[arg-type]
+    return _eval_grid((f,), grid)[0].tolist()  # type: ignore[arg-type]
 
 
 def exact_integral(f: FunctionSpec) -> float:
@@ -310,19 +341,37 @@ def exact_integral(f: FunctionSpec) -> float:
     segment whose ordinate sum overflows halves each ordinate first, exact at
     that size, so its trapezoid is the one an unbounded exponent would give.
     """
-    if f.family == "constant":
-        return f.value  # type: ignore[return-value]
-    if f.family == "trig":
-        assert f.coefficients is not None
-        return f.coefficients[0]
-    x, y = f.points.T  # type: ignore[union-attr]
-    dx, y0, y1 = x[1:] - x[:-1], y[:-1], y[1:]
-    with np.errstate(over="ignore"):
-        terms = dx * (y0 + y1) / 2.0
-    if np.isinf(terms).any():
+    return _integrals((f,))[0]
+
+
+def _integrals(family: Sequence[FunctionSpec]) -> list[float]:
+    """:func:`exact_integral` of each member of ``family``, bit for bit.
+
+    One trapezoid pass over the concatenated breakpoints, then one ``fsum``
+    over each member's slice; the trapezoid joining two members is not summed.
+    """
+    pts = [f.points for f in family if f.family == "pwl"]
+    if pts:
+        x, y = _joined(pts).T
+        dx, y0, y1 = x[1:] - x[:-1], y[:-1], y[1:]
+        with np.errstate(over="ignore"):
+            terms = dx * (y0 + y1) / 2.0
         over = np.isinf(terms)
-        terms[over] = dx[over] * (y0[over] / 2.0 + y1[over] / 2.0)
-    return math.fsum(memoryview(terms))
+        if over.any():
+            terms[over] = dx[over] * (y0[over] / 2.0 + y1[over] / 2.0)
+        sums = memoryview(terms)
+    out, start = [], 0
+    for f in family:
+        if f.family == "pwl":
+            n = len(f.points)  # type: ignore[arg-type]
+            out.append(math.fsum(sums[start:start + n - 1]))
+            start += n
+        elif f.family == "constant":
+            out.append(f.value)
+        else:
+            assert f.coefficients is not None
+            out.append(f.coefficients[0])
+    return out
 
 
 def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
@@ -349,7 +398,7 @@ def check_promise(f: FunctionSpec, p: Promise, grid_size: int) -> bool:
     n = max(grid_size, _TRIG_MIN_GRID)
     _budget("trig promise grid times coefficients", 0, n * len(f.coefficients or ()))
     xs = np.arange(n) / (n - 1)
-    vals = _eval_grid(f, xs)
+    vals = _eval_grid((f,), xs)[0]
     if not ((p.range_lo <= vals) & (vals <= p.range_hi)).all():
         return False
     return not (np.abs(np.diff(vals)) > L * _GRID_SLACK * np.diff(xs)).any()

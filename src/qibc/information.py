@@ -191,7 +191,7 @@ class RadiusReport:
 
 def observe(f: FunctionSpec, d: Design) -> DataVector:
     """The information about ``f``: its values at the design points, in one array pass."""
-    return DataVector(_eval_grid(f, d.points))
+    return DataVector(_eval_grid((f,), d.points)[0])
 
 
 def _check_consistency(t: np.ndarray, y: np.ndarray, L: float) -> None:

@@ -63,6 +63,11 @@ estimation iterate) is checked and compiled once, and every slot it fills
 shares its compiled list. An :class:`OutcomeDistribution` holds its outcomes
 as those three read-only columns, ``j``, ``p`` and ``phi``.
 
+On the label path a function family runs as one batch (one function is a
+batch of one): one grid evaluation and one ``beta`` for every member, the
+label loop per member, and one checked ``(F, M)`` block of ``p`` rows. The
+dense path runs one member at a time.
+
 States, algorithms and distributions are values: they compare and hash by
 value, a copy or an unpickled one is rebuilt by its constructor (no program
 or cached entries travel with it), and every array they hold is read-only.
@@ -384,15 +389,15 @@ def query_table(f: FunctionSpec, q: QuerySpec) -> tuple[tuple[float, int], ...]:
     behind the qubit lower bound. Grid, values (bitwise ``eval``'s) and codes are array passes.
     """
     taus = _tau(np.arange(q.grid_points), q)
-    return tuple(zip(taus.tolist(), _beta(_eval_grid(f, taus), q).tolist()))
+    return tuple(zip(taus.tolist(), _beta(_eval_grid((f,), taus), q)[0].tolist()))
 
 
-def _codes(f: FunctionSpec, q: QuerySpec) -> list[int]:
-    """``beta(f(tau(j)))`` for every grid index ``j``, as Python ints, in one array pass.
+def _codes(family: Sequence[FunctionSpec], q: QuerySpec) -> list[list[int]]:
+    """``beta(f(tau(j)))`` for every grid index ``j``, one row per member ``f``, in one array pass.
 
-    Ints, not an int64 array: the label loop tests masks against them.
+    Python ints, not an int64 array: the label loop tests masks against them.
     """
-    return _beta(_eval_grid(f, _tau(np.arange(q.grid_points), q)), q).tolist()
+    return _beta(_eval_grid(family, _tau(np.arange(q.grid_points), q)), q).tolist()
 
 
 def _query(psi: np.ndarray, codes: Sequence[int], q: QuerySpec) -> None:
@@ -415,7 +420,7 @@ def bit_query(s: QState, f: FunctionSpec, q: QuerySpec) -> QState:
             f"query registers need {q.m_prime + q.m_double_prime} qubits, state has {s.nu}"
         )
     arr = s.amplitudes.copy()
-    _query(arr, _codes(f, q), q)
+    _query(arr, _codes((f,), q)[0], q)
     return QState._owning(s.nu, arr)
 
 
@@ -490,7 +495,7 @@ class AlgorithmSpec(_Value):
         for g in {id(g): g for layer in _distinct(layers) for g in layer}.values():
             if not isinstance(g, GateOp):
                 raise ValidationError(f"layer entry {g!r} is not a GateOp")
-            if any(t >= self.nu for t in g.targets):
+            if max(g.targets) >= self.nu:  # every gate has a target
                 raise ValidationError(
                     f"gate targets {g.targets} exceed nu={self.nu}"
                 )
@@ -568,14 +573,14 @@ def _check_cap(a: AlgorithmSpec) -> None:
         raise CapacityError(f"algorithm needs nu={_shown(a.nu)} qubits, cap is {MAX_QUBITS}")
 
 
-def _query_codes(a: AlgorithmSpec, f: FunctionSpec | None) -> list[int]:
-    """The value code of each grid index; the caller has checked the qubit cap."""
+def _query_codes(a: AlgorithmSpec, family: Sequence[Any]) -> list[list[int]]:
+    """The value code of each grid index, a row per member; the caller has checked the qubit cap."""
     if a.num_queries == 0:
-        return []
-    if f is None:
+        return [[]] * len(family)
+    if any(f is None for f in family):
         raise ValidationError(f"algorithm makes {a.num_queries} queries; a function is required")
     assert a.query is not None
-    return _codes(f, a.query)
+    return _codes(family, a.query)
 
 
 def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
@@ -586,7 +591,7 @@ def run(a: AlgorithmSpec, f: FunctionSpec | None = None) -> QState:
     ``MAX_QUBITS`` qubits raises :class:`CapacityError`.
     """
     _check_cap(a)
-    codes = _query_codes(a, f)
+    (codes,) = _query_codes(a, (f,))
     arr = np.zeros(1 << a.nu, dtype=np.complex128)
     arr[0] = 1.0
     psi = arr.reshape((2,) * a.nu)
@@ -629,35 +634,25 @@ class OutcomeDistribution(_Value):
             j = np.array(js, dtype=np.int64)
         except OverflowError as exc:
             raise ValidationError(f"outcome indices must fit in 64 bits: {exc}") from exc
-        self._seal(j, p, phi)
+        j, P, phi = _sealed(j, p[None], phi)
+        self._hold(j, P[0], phi)
 
     @classmethod
     def _from_columns(cls, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> OutcomeDistribution:
         """A distribution over the given columns, checked as :meth:`__init__` checks; not copied."""
-        d = object.__new__(cls)
-        d._seal(j, p, phi)
-        return d
+        return cls._rows(*_sealed(j, p[None], phi))[0]
 
-    def _seal(self, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> None:
-        """Check the columns in one pass and keep them frozen (:func:`_frozen`)."""
-        for what, col in (("outcome probabilities", p), ("decoded values", phi)):
-            finite = np.isfinite(col)
-            if not finite.all():
-                bad = col[np.argmin(finite)].item()
-                raise ValidationError(f"{what} must be finite, got {bad!r}")
-        if not (j[1:] > j[:-1]).all():  # increasing, as every program's j is, has no duplicate
-            js = j.tolist()
-            if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
-                dup = next(k for k in js if js.count(k) > 1)
-                raise ValidationError(f"duplicate outcome index {dup}")
-        if p.min() < 0.0:
-            k = int(np.argmax(p < 0.0))
-            raise ValidationError(f"probability of outcome {j[k].item()} is {p[k].item()!r}")
-        total = math.fsum(memoryview(p))
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+    @classmethod
+    def _rows(cls, j: np.ndarray, P: np.ndarray, phi: np.ndarray) -> list[OutcomeDistribution]:
+        """One distribution per row of ``P``, all sharing ``j`` and ``phi`` (:func:`_sealed`)."""
+        out = [object.__new__(cls) for _ in range(len(P))]
+        for d, p in zip(out, P):
+            d._hold(j, p, phi)
+        return out
+
+    def _hold(self, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> None:
         for name, col in (("j", j), ("p", p), ("phi", phi)):
-            object.__setattr__(self, name, _frozen(col))
+            object.__setattr__(self, name, col)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, float, float], ...]:
@@ -669,6 +664,34 @@ class OutcomeDistribution(_Value):
 
     def __repr__(self) -> str:  # named by the constructor's argument, not the columns
         return f"{self.__class__.__qualname__}(entries={self.entries!r})"
+
+
+def _sealed(
+    j: np.ndarray, P: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns ``j`` and ``phi`` and an ``(F, M)`` probability block ``P``, checked and frozen.
+
+    Each row is one distribution's ``p``; the block gets every check a
+    distribution gets, once, naming the first bad value in row-major order.
+    """
+    for what, col in (("outcome probabilities", P), ("decoded values", phi)):
+        finite = np.isfinite(col)
+        if not finite.all():
+            bad = col.flat[np.argmin(finite)].item()
+            raise ValidationError(f"{what} must be finite, got {bad!r}")
+    if not (j[1:] > j[:-1]).all():  # increasing, as every program's j is, has no duplicate
+        js = j.tolist()
+        if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
+            dup = next(k for k in js if js.count(k) > 1)
+            raise ValidationError(f"duplicate outcome index {dup}")
+    if P.min() < 0.0:
+        r, k = divmod(int(np.argmax(P < 0.0)), P.shape[1])
+        raise ValidationError(f"probability of outcome {j[k].item()} is {P[r, k].item()!r}")
+    for p in P:
+        total = math.fsum(memoryview(p[p != 0.0]))  # zeros add nothing, and fsum([]) is 0.0
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+    return _frozen(j), _frozen(P), _frozen(phi)
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
@@ -683,8 +706,8 @@ def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
     p = p.sum(axis=tuple(q for q in range(s.nu) if q not in a.measure))
     kept = sorted(a.measure)
     p = p.transpose([kept.index(q) for q in a.measure]).reshape(-1)
-    prog = a._program
-    return OutcomeDistribution._from_columns(prog.j, p, prog.phi)
+    prog = a._program  # p frozen first, so its one-row view needs no copy of its own
+    return OutcomeDistribution._from_columns(prog.j, _frozen(p), prog.phi)
 
 
 def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDistribution:
@@ -696,7 +719,7 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
     circuit runs dense, ``measure(run(a, f), a)``. Both paths raise the same
     errors.
     """
-    return next(_distributions(a, (f,)))
+    return OutcomeDistribution._rows(*next(_outcomes(a, (f,))))[0]
 
 
 def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
@@ -718,17 +741,27 @@ def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
     return [compiled[id(layer)] for layer in a.layers]
 
 
-def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeDistribution]:
-    """:func:`distribution` of ``a`` on each member of ``family`` in turn."""
+def _outcomes(
+    a: AlgorithmSpec, family: Sequence[Any]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`distribution` on each member of ``family``, as sealed ``(j, P, phi)`` blocks.
+
+    A label circuit yields one block for the family, a row per member; a
+    dense circuit one row per block, so one state is alive at a time.
+    """
+    prog = a._program  # checks the qubit cap before the compile
+    if prog.layers is None:
+        for f in family:
+            d = measure(run(a, f), a)
+            yield d.j, d.p[None], d.phi
+        return
     top = a.nu - a.query.m_prime if a.query else 0  # index j is the label's top m' bits
     low = top - a.query.m_double_prime if a.query else 0  # and its code XORs into the next m''
     T = a.num_queries
-    for f in family:
-        prog = a._program  # checks the qubit cap before the compile
-        if prog.layers is None:
-            yield measure(run(a, f), a)
-            continue
-        codes = _query_codes(a, f)
+    last = len(a.measure) - 1
+    reads = [(a.nu - 1 - t, last - k) for k, t in enumerate(a.measure)]  # label bit, outcome bit
+    hits = []
+    for codes in _query_codes(a, family):
         label = 0
         for i, layer in enumerate(prog.layers):
             for c, x in layer:
@@ -736,10 +769,14 @@ def _distributions(a: AlgorithmSpec, family: Iterable[Any]) -> Iterator[OutcomeD
                     label ^= x
             if i < T:
                 label ^= codes[label >> top] << low
-        hit = int("".join(str(label >> (a.nu - 1 - t) & 1) for t in a.measure), 2)
-        p = np.zeros(len(prog.j))
-        p[hit] = 1.0
-        yield OutcomeDistribution._from_columns(prog.j, p, prog.phi)
+        hit = 0
+        for s, k in reads:
+            hit |= (label >> s & 1) << k
+        hits.append(hit)
+    P = np.zeros((len(hits), len(prog.j)))
+    for r, hit in enumerate(hits):
+        P[r, hit] = 1.0
+    yield _sealed(prog.j, P, prog.phi)
 
 
 # --------------------------------------------------------------------------

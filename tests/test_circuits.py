@@ -117,6 +117,15 @@ class TestMcx:
         out = np.asarray(_apply_all(QState(4, amps), gates).amplitudes)
         assert out[0b1111] == 1.0
 
+    def test_no_controls_is_plain_x(self):
+        gates = mcx_gates((), 1)
+        assert gates == (GateOp("X", (1,)),)
+        for j in range(4):
+            amps = np.zeros(4, dtype=complex)
+            amps[j] = 1.0
+            out = np.asarray(_apply_all(QState(2, amps), gates).amplitudes)
+            assert out[j ^ 1] == 1.0
+
 
 class TestMidpointCircuit:
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 
 import qibc.circuits
@@ -140,7 +141,7 @@ INT_SITES = {
 }
 
 BAD_REALS = {"str": "a", "None": None, "int-overflow": 10**400, "nan": math.nan,
-             "inf": math.inf}
+             "inf": math.inf, "numpy-complex": np.complex128(0.5 + 1j)}
 BAD_INTS = {"str": "a", "digit-str": "1", "None": None, "nan": math.nan, "inf": math.inf,
             "fraction": 0.9}
 
