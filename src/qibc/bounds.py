@@ -33,12 +33,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from .exceptions import (
-    MAX_QUBITS, CapacityError, PremiseViolationError, ValidationError, _ints, _past_budget, _real,
-    _reals,
+    MAX_QUBITS, CapacityError, PremiseViolationError, ValidationError, _finite, _ints,
+    _past_budget, _real, _reals,
 )
 from .functions import FunctionSpec, _integrals
 from .information import m_eps, query_complexity
-from .simulator import AlgorithmSpec, OutcomeDistribution, _outcomes
+from .simulator import AlgorithmSpec, OutcomeDistribution, _hits, measure, run
 
 __all__ = [
     "MASS_THRESHOLD",
@@ -94,30 +94,17 @@ def local_error(dist: OutcomeDistribution, truth: float) -> float:
 
     Greedy: sort outcomes by distance to the truth (ties by outcome index),
     accumulate probability until the threshold is reached, return the last
-    included distance. ``cumsum`` adds in order, so every partial mass is
-    bitwise the running sum of a scalar loop.
+    included distance. ``add.accumulate`` adds in order, so every partial
+    mass is bitwise the running sum of a scalar loop.
     """
     truth = _real(truth, "truth must be finite")
-    return _local_errors(dist.j, dist.p[None], dist.phi, (truth,))[0]
-
-
-def _local_errors(
-    j: np.ndarray, P: np.ndarray, phi: np.ndarray, truths: Sequence[float]
-) -> list[float]:
-    """:func:`local_error` of each row of the probability block ``P`` against its truth.
-
-    The running sum and ``argmax`` go along each row in order, so each row
-    gets the bits it would get alone.
-    """
-    d = np.abs(np.array(truths)[:, None] - phi)
-    order = np.lexsort((j[None].repeat(len(P), 0), d))
-    starts = np.arange(0, P.size, P.shape[1])
-    order += starts[:, None]  # flat indices into the block
-    reached = np.add.accumulate(P.ravel()[order], axis=1) >= MASS_THRESHOLD - MASS_TOL
-    k = reached.argmax(axis=1) + starts
-    if not reached.ravel()[k].all():  # unreachable: every row sums to 1 >= 3/4
+    d = np.abs(truth - dist.phi)
+    order = np.lexsort((dist.j, d))
+    reached = np.add.accumulate(dist.p[order]) >= MASS_THRESHOLD - MASS_TOL
+    k = int(np.argmax(reached))
+    if not reached[k]:  # unreachable: the distribution sums to 1 >= 3/4
         raise AssertionError("distribution mass below 3/4")
-    return d.ravel()[order.ravel()[k]].tolist()
+    return float(d[order[k]])
 
 
 def local_error_setform(dist: OutcomeDistribution, truth: float) -> float:
@@ -155,9 +142,12 @@ def worst_prob_error(
     A computable surrogate for the supremum over the whole promise class;
     ``truths`` defaults to the exact integrals of the family members.
 
-    The family is scored as one block, bitwise as member by member: one
-    pass each for the truths, a label circuit's outcomes and the local
-    errors. A dense circuit is run and scored one member at a time.
+    Bitwise :func:`local_error` member by member. The truths, and a label
+    circuit's codes, are one pass over the family. A label circuit's outcome
+    on a member is one point, its hit, so the member's local error is the
+    distance from its truth to the hit's decoded value: on a one-hot row the
+    greedy mass first reaches 3/4 at the hit. A dense circuit is run and
+    scored one member at a time.
     """
     family = list(family)
     if not family:
@@ -169,10 +159,12 @@ def worst_prob_error(
         raise ValidationError(
             f"{len(truths)} truths for a family of {len(family)} functions"
         )
-    errors: list[float] = []
-    for j, P, phi in _outcomes(a, family):
-        errors += _local_errors(j, P, phi, truths[len(errors):len(errors) + len(P)])
-    return max(0.0, *errors)
+    prog = a._program  # checks the qubit cap before the compile
+    if prog.layers is None:  # one dense state alive at a time
+        return max(0.0, *(local_error(measure(run(a, f), a), t) for f, t in zip(family, truths)))
+    hits = _hits(a, family)
+    _finite(prog.phi, "decoded values")
+    return max(0.0, *np.abs(np.array(truths) - prog.phi[hits]).tolist())
 
 
 def _window(dist: OutcomeDistribution, eps: float) -> np.ndarray:

@@ -18,9 +18,9 @@ raises:
 
 * a real is any value that ``float()`` converts to a finite float, and not
   a numpy complex (``float()`` drops its imaginary part);
-* an integer is any value ``v`` with ``int(v) == v``: ``16`` and ``16.0``
-  pass, while ``0.9``, ``"1"``, ``inf`` and ``nan`` fail, so no qubit index
-  or register size is silently truncated;
+* an integer is any value ``v`` with ``int(v) == v``, and not a numpy
+  complex: ``16`` and ``16.0`` pass, while ``0.9``, ``"1"``, ``inf`` and
+  ``nan`` fail, so no qubit index or register size is silently truncated;
 * a value that breaks either rule raises :class:`ValidationError`, never a
   bare ``TypeError``, ``ValueError`` or ``OverflowError``.
 
@@ -141,7 +141,7 @@ def _real(value: Any, message: str, *, above: float = -math.inf,
 def _int(value: Any, message: str, at_least: int) -> int:
     """``value`` as an int ``>= at_least`` if ``int(value) == value``, else as :func:`_real`."""
     try:
-        v = int(value)
+        v = _integer(value)
     except _CONVERSION_ERRORS:
         v = None
     if v is not None and v == value and v >= at_least:
@@ -149,15 +149,22 @@ def _int(value: Any, message: str, at_least: int) -> int:
     raise ValidationError(f"{message}, got {_shown(value)}")
 
 
-#: What ``float`` of a Python complex raises, said of a numpy complex too.
-_NOT_REAL = "float() argument must be a string or a real number, not {!r}"
+#: What ``float`` or ``int`` of a Python complex raises, said of a numpy complex too.
+_NOT_REAL = "{}() argument must be a string or a real number, not {!r}"
 
 
 def _float(value: Any) -> float:
     """``float(value)``, refusing a numpy complex as ``float`` refuses a Python one."""
     if isinstance(value, np.complexfloating):
-        raise TypeError(_NOT_REAL.format(type(value).__name__))
+        raise TypeError(_NOT_REAL.format("float", type(value).__name__))
     return float(value)
+
+
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a numpy complex as ``int`` refuses a Python one."""
+    if isinstance(value, np.complexfloating):
+        raise TypeError(_NOT_REAL.format("int", type(value).__name__))
+    return int(value)
 
 
 def _listed(values: Any) -> list[Any]:
@@ -169,7 +176,7 @@ def _listed(values: Any) -> list[Any]:
     if any(issubclass(t, (np.complexfloating, np.ndarray)) for t in set(map(type, vals))):
         for v in vals:
             if isinstance(v, (np.complexfloating, np.ndarray)) and v.dtype.kind == "c":
-                raise TypeError(_NOT_REAL.format(type(v).__name__))
+                raise TypeError(_NOT_REAL.format("float", type(v).__name__))
     return vals
 
 
@@ -214,10 +221,15 @@ def _real_array(values: Any, what: str) -> np.ndarray:
     out = _float_array(values, what)
     if out is values:
         out = out.copy()
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise ValidationError(f"{what} must be finite, got {out[np.argmin(finite)].item()!r}")
+    _finite(out, what)
     return _frozen(out)
+
+
+def _finite(a: np.ndarray, what: str) -> None:
+    """Raise ``{what} must be finite, got ...``, naming the first value of ``a`` that is not."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValidationError(f"{what} must be finite, got {a[np.argmin(finite)].item()!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -242,7 +254,7 @@ def _ints(values: Any, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each with ``int(v) == v``, converted in one pass."""
     try:
         raw = tuple(values)
-        out = tuple(map(int, raw))
+        out = tuple(map(_integer, raw))
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"{what} must be integers: {exc}") from exc
     if out != raw:

@@ -263,17 +263,12 @@ def eval(f: FunctionSpec, x: float) -> float:  # noqa: A001 - name fixed by the 
     return math.fsum(terms)
 
 
-def _eval_pwl(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _eval_counted(points: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``eval`` of the pwl with breakpoint rows ``points`` at each of ``xs``, bit for bit.
 
-    It picks ``eval``'s segment by ``searchsorted``, returns the stored
-    ordinate at a breakpoint and interpolates with the same expression.
+    ``counts``, the number of breakpoint abscissae ``<=`` each x, picks
+    ``eval``'s segment.
     """
-    return _eval_counted(points, xs, np.searchsorted(points[:, 0], xs, side="right"))
-
-
-def _eval_counted(points: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """:func:`_eval_pwl` given ``counts``, the number of breakpoint abscissae ``<=`` each x."""
     return _on_segments(points, xs, np.minimum(counts - 1, len(points) - 2))
 
 

@@ -63,10 +63,11 @@ estimation iterate) is checked and compiled once, and every slot it fills
 shares its compiled list. An :class:`OutcomeDistribution` holds its outcomes
 as those three read-only columns, ``j``, ``p`` and ``phi``.
 
-On the label path a function family runs as one batch (one function is a
-batch of one): one grid evaluation and one ``beta`` for every member, the
-label loop per member, and one checked ``(F, M)`` block of ``p`` rows. The
-dense path runs one member at a time.
+On the label path an outcome is one point, the *hit*, and a function family
+runs as one batch (one function is a batch of one): one grid evaluation and
+one ``beta`` for every member, then the label loop per member, which yields
+the member's hit. :func:`distribution` makes the hit a one-hot row. The dense
+path runs one member at a time. Every distribution is one checked row.
 
 States, algorithms and distributions are values: they compare and hash by
 value, a copy or an unpickled one is rebuilt by its constructor (no program
@@ -80,13 +81,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .exceptions import (
-    _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _frozen, _int,
-    _ints, _past_budget, _real, _real_array, _reals, _shown,
+    _CONVERSION_ERRORS, MAX_QUBITS, CapacityError, ValidationError, _budget, _finite, _frozen,
+    _int, _ints, _past_budget, _real, _real_array, _reals, _shown,
 )
 from .functions import FunctionSpec, _eval_grid, _Value
 from .serialize import read_csv, reading, render_csv
@@ -634,21 +635,14 @@ class OutcomeDistribution(_Value):
             j = np.array(js, dtype=np.int64)
         except OverflowError as exc:
             raise ValidationError(f"outcome indices must fit in 64 bits: {exc}") from exc
-        j, P, phi = _sealed(j, p[None], phi)
-        self._hold(j, P[0], phi)
+        self._hold(*_sealed(j, p, phi))
 
     @classmethod
     def _from_columns(cls, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> OutcomeDistribution:
         """A distribution over the given columns, checked as :meth:`__init__` checks; not copied."""
-        return cls._rows(*_sealed(j, p[None], phi))[0]
-
-    @classmethod
-    def _rows(cls, j: np.ndarray, P: np.ndarray, phi: np.ndarray) -> list[OutcomeDistribution]:
-        """One distribution per row of ``P``, all sharing ``j`` and ``phi`` (:func:`_sealed`)."""
-        out = [object.__new__(cls) for _ in range(len(P))]
-        for d, p in zip(out, P):
-            d._hold(j, p, phi)
-        return out
+        d = object.__new__(cls)
+        d._hold(*_sealed(j, p, phi))
+        return d
 
     def _hold(self, j: np.ndarray, p: np.ndarray, phi: np.ndarray) -> None:
         for name, col in (("j", j), ("p", p), ("phi", phi)):
@@ -667,31 +661,23 @@ class OutcomeDistribution(_Value):
 
 
 def _sealed(
-    j: np.ndarray, P: np.ndarray, phi: np.ndarray
+    j: np.ndarray, p: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns ``j`` and ``phi`` and an ``(F, M)`` probability block ``P``, checked and frozen.
-
-    Each row is one distribution's ``p``; the block gets every check a
-    distribution gets, once, naming the first bad value in row-major order.
-    """
-    for what, col in (("outcome probabilities", P), ("decoded values", phi)):
-        finite = np.isfinite(col)
-        if not finite.all():
-            bad = col.flat[np.argmin(finite)].item()
-            raise ValidationError(f"{what} must be finite, got {bad!r}")
+    """A distribution's columns ``j``, ``p`` and ``phi``, checked and frozen (:func:`_frozen`)."""
+    _finite(p, "outcome probabilities")
+    _finite(phi, "decoded values")
     if not (j[1:] > j[:-1]).all():  # increasing, as every program's j is, has no duplicate
         js = j.tolist()
         if len(set(js)) != len(js):  # not np.unique: its first call costs a MiB of peak RSS
             dup = next(k for k in js if js.count(k) > 1)
             raise ValidationError(f"duplicate outcome index {dup}")
-    if P.min() < 0.0:
-        r, k = divmod(int(np.argmax(P < 0.0)), P.shape[1])
-        raise ValidationError(f"probability of outcome {j[k].item()} is {P[r, k].item()!r}")
-    for p in P:
-        total = math.fsum(memoryview(p[p != 0.0]))  # zeros add nothing, and fsum([]) is 0.0
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-    return _frozen(j), _frozen(P), _frozen(phi)
+    if p.min() < 0.0:
+        k = int(np.argmax(p < 0.0))
+        raise ValidationError(f"probability of outcome {j[k].item()} is {p[k].item()!r}")
+    total = math.fsum(memoryview(p[p != 0.0]))  # zeros add nothing, and fsum([]) is 0.0
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+    return _frozen(j), _frozen(p), _frozen(phi)
 
 
 def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
@@ -706,8 +692,8 @@ def measure(s: QState, a: AlgorithmSpec) -> OutcomeDistribution:
     p = p.sum(axis=tuple(q for q in range(s.nu) if q not in a.measure))
     kept = sorted(a.measure)
     p = p.transpose([kept.index(q) for q in a.measure]).reshape(-1)
-    prog = a._program  # p frozen first, so its one-row view needs no copy of its own
-    return OutcomeDistribution._from_columns(prog.j, _frozen(p), prog.phi)
+    prog = a._program
+    return OutcomeDistribution._from_columns(prog.j, p, prog.phi)
 
 
 def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDistribution:
@@ -715,11 +701,16 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
 
     A circuit whose gates are all X, ``mcx``, swap, phase or cphase maps
     ``|0...0>`` to one basis state times a phase, so it is tracked as an int
-    label (qubit 0 the MSB) and its one outcome gets probability 1; any other
-    circuit runs dense, ``measure(run(a, f), a)``. Both paths raise the same
-    errors.
+    label (qubit 0 the MSB) and its one outcome, the hit, gets probability 1
+    in a one-hot row; any other circuit runs dense and returns
+    ``measure(run(a, f), a)`` itself. Both paths raise the same errors.
     """
-    return OutcomeDistribution._rows(*next(_outcomes(a, (f,))))[0]
+    prog = a._program  # checks the qubit cap before the compile
+    if prog.layers is None:
+        return measure(run(a, f), a)
+    p = np.zeros(len(prog.j))
+    p[_hits(a, (f,))[0]] = 1.0
+    return OutcomeDistribution._from_columns(prog.j, p, prog.phi)
 
 
 def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
@@ -741,20 +732,14 @@ def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
     return [compiled[id(layer)] for layer in a.layers]
 
 
-def _outcomes(
-    a: AlgorithmSpec, family: Sequence[Any]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`distribution` on each member of ``family``, as sealed ``(j, P, phi)`` blocks.
+def _hits(a: AlgorithmSpec, family: Sequence[Any]) -> list[int]:
+    """The one outcome of the label circuit ``a`` on each member of ``family``.
 
-    A label circuit yields one block for the family, a row per member; a
-    dense circuit one row per block, so one state is alive at a time.
+    The codes of every member come from one grid evaluation; the label loop
+    runs per member.
     """
-    prog = a._program  # checks the qubit cap before the compile
-    if prog.layers is None:
-        for f in family:
-            d = measure(run(a, f), a)
-            yield d.j, d.p[None], d.phi
-        return
+    layers = a._program.layers
+    assert layers is not None, "a dense circuit has no label loop"
     top = a.nu - a.query.m_prime if a.query else 0  # index j is the label's top m' bits
     low = top - a.query.m_double_prime if a.query else 0  # and its code XORs into the next m''
     T = a.num_queries
@@ -763,7 +748,7 @@ def _outcomes(
     hits = []
     for codes in _query_codes(a, family):
         label = 0
-        for i, layer in enumerate(prog.layers):
+        for i, layer in enumerate(layers):
             for c, x in layer:
                 if label & c == c:
                     label ^= x
@@ -773,10 +758,7 @@ def _outcomes(
         for s, k in reads:
             hit |= (label >> s & 1) << k
         hits.append(hit)
-    P = np.zeros((len(hits), len(prog.j)))
-    for r, hit in enumerate(hits):
-        P[r, hit] = 1.0
-    yield _sealed(prog.j, P, prog.phi)
+    return hits
 
 
 # --------------------------------------------------------------------------

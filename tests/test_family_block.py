@@ -1,10 +1,11 @@
-"""A function family scored as one block, bitwise as member by member.
+"""A function family scored in one batch, bitwise as member by member.
 
 ``worst_prob_error`` takes its truths from one trapezoid pass over the
-family, evaluates a label circuit's codes for every member at once, checks
-the members' outcome probabilities as one block and scores that block in one
-pass. Each test below holds the batch to the single-member entry points, or
-to a scalar oracle, bit for bit.
+family and evaluates a label circuit's codes for every member at once. A
+label circuit's outcome on a member is one point, its hit, so the member's
+local error is the distance from its truth to the hit's decoded value. Each
+test below holds the batch to the single-member entry points, or to a scalar
+oracle, bit for bit. Every distribution is one checked row (``_sealed``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 import qibc.simulator
 from qibc import (
-    OutcomeDistribution,
+    AffineDecode,
+    AlgorithmSpec,
     ValidationError,
     build_ae_mean,
     build_bound_fixture,
@@ -29,10 +31,11 @@ from qibc import (
     midpoint_algorithm,
     pwl,
     trig,
+    verify_bound,
     worst_prob_error,
 )
 from qibc.functions import _integrals
-from qibc.simulator import _outcomes, _sealed
+from qibc.simulator import _sealed
 from helpers import local_error_loop
 
 _HUGE = 1.5e308  # two of these overflow a float sum, so their trapezoid is halved first
@@ -176,53 +179,54 @@ class TestOneBlockPerLabelFamily:
         worst_prob_error(a, family)
         assert [c[0].shape for c in calls] == [(1, 4)] * 3
 
-    def test_label_family_is_one_frozen_block(self):
-        fx = build_bound_fixture(1 / 40)
-        a = fx.algorithm
-        blocks = list(_outcomes(a, fx.family))
-        assert len(blocks) == 1
-        j, P, phi = blocks[0]
-        assert P.shape == (4, a.outcome_count) and not P.flags.writeable
-        assert j is a._program.j and phi is a._program.phi
-        dists = OutcomeDistribution._rows(j, P, phi)
-        for d, f in zip(dists, fx.family):
-            assert d == distribution(a, f)
-            assert not d.p.flags.writeable and np.shares_memory(d.p, P)
-            with pytest.raises(ValueError):
-                d.p.flags.writeable = True
 
-    def test_dense_circuit_yields_a_row_per_member(self):
-        a = build_ae_mean(2, 2, 0.0, 1.0)
-        family = [constant(0.5), constant(0.25)]
-        shapes = [P.shape for _, P, _ in _outcomes(a, family)]
-        assert shapes == [(1, a.outcome_count)] * 2
+class TestDecodedValuesOfALabelCircuit:
+    """The program's decoded values are checked after the codes, as ``distribution`` checks them."""
+
+    @staticmethod
+    def overflowing():
+        a = midpoint_algorithm(1, 2, 0.0, 1.0)
+        return AlgorithmSpec(a.nu, a.query, a.layers, a.measure, AffineDecode(1e308, 0.0))
+
+    @pytest.mark.parametrize("given_truths", [False, True], ids=["exact", "given"])
+    def test_not_finite_decode_is_refused(self, given_truths):
+        a = self.overflowing()
+        family = [constant(0.5), pwl([(0.0, 0.0), (1.0, 1.0)])]
+        truths = [0.5, 0.5] if given_truths else None
+        for call in (lambda: worst_prob_error(a, family, truths),
+                     lambda: verify_bound(a, family, 1.0, 1 / 40, truths=truths),
+                     lambda: distribution(a, family[0])):
+            with pytest.raises(ValidationError, match=r"^decoded values must be finite, got inf$"):
+                call()
+
+    def test_a_missing_member_is_named_first(self):
+        a = self.overflowing()
+        family = [constant(0.5), None]
+        for call in (lambda: worst_prob_error(a, family, [0.5, 0.5]),
+                     lambda: verify_bound(a, family, 1.0, 1 / 40, truths=[0.5, 0.5])):
+            with pytest.raises(ValidationError,
+                               match=r"^algorithm makes 4 queries; a function is required$"):
+                call()
 
 
-class TestBlockCheck:
-    """The block gets each check one distribution gets, first bad value in row-major order."""
+class TestOneRowCheck:
+    """A distribution's one row gets each check, naming the first bad value."""
 
     J, PHI = np.arange(3), np.array([0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("rows, message", [
-        ([[1.0, 0.0, 0.0], [0.5, np.nan, np.inf]], "outcome probabilities must be finite, got nan"),
-        ([[1.0, 0.0, 0.0], [1.5, -0.25, -0.25]], "probability of outcome 1 is -0.25"),
-        ([[0.0, 1.5, -0.5], [-0.75, 1.75, 0.0]], "probability of outcome 2 is -0.5"),
-        ([[1.0, 0.0, 0.0], [0.25, 0.25, 0.0]], "probabilities sum to 0.5, expected 1"),
-    ], ids=["nan", "negative-second-row", "negative-row-major", "sum"])
-    def test_messages(self, rows, message):
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, np.nan, np.inf], "outcome probabilities must be finite, got nan"),
+        ([1.5, -0.25, -0.25], "probability of outcome 1 is -0.25"),
+        ([0.25, -0.0, 0.5], "probabilities sum to 0.75, expected 1"),
+    ], ids=["nan", "negative", "sum"])
+    def test_messages(self, p, message):
         with pytest.raises(ValidationError, match=rf"^{message}$"):
-            _sealed(self.J, np.array(rows), self.PHI)
-
-    def test_decoded_values_and_indices(self):
-        P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValidationError, match=r"^decoded values must be finite, got inf$"):
-            _sealed(self.J, P, np.array([0.0, np.inf, 1.0]))
-        with pytest.raises(ValidationError, match=r"^duplicate outcome index 1$"):
-            _sealed(np.array([1, 0, 1]), P, self.PHI)
+            _sealed(self.J, np.array(p), self.PHI)
 
     def test_zeros_do_not_change_a_sum(self):
         # the exact sum skips zero entries; it equals fsum over every entry
-        P = np.array([[0.1, 0.0, 0.9], [-0.0, 1.0, 0.0]])
-        _sealed(self.J, P, self.PHI)
+        for p in ([0.1, 0.0, 0.9], [-0.0, 1.0, 0.0]):
+            _, got, _ = _sealed(self.J, np.array(p), self.PHI)
+            assert got.tolist() == p and not got.flags.writeable
         with pytest.raises(ValidationError, match=r"^probabilities sum to 0.0, expected 1$"):
-            _sealed(self.J, np.array([[-0.0, 0.0, -0.0]]), self.PHI)
+            _sealed(self.J, np.array([-0.0, 0.0, -0.0]), self.PHI)

@@ -35,7 +35,7 @@ from qibc import (
     pwl,
     trig,
 )
-from qibc.functions import _eval_pwl
+from qibc.functions import _eval_grid
 from helpers import (
     bits,
     exact_integral_scalar,
@@ -250,7 +250,7 @@ class TestEvalPwl:
         for x, _ in f.points:
             probes |= {x, math.nextafter(x, -1.0), math.nextafter(x, 2.0)}
         xs = sorted(x for x in probes if 0.0 <= x <= 1.0)
-        got = _eval_pwl(np.array(f.points), np.array(xs)).tolist()
+        got = _eval_grid((f,), np.array(xs))[0].tolist()
         assert [y.hex() for y in got] == [feval(f, x).hex() for x in xs]
 
 

@@ -143,7 +143,7 @@ INT_SITES = {
 BAD_REALS = {"str": "a", "None": None, "int-overflow": 10**400, "nan": math.nan,
              "inf": math.inf, "numpy-complex": np.complex128(0.5 + 1j)}
 BAD_INTS = {"str": "a", "digit-str": "1", "None": None, "nan": math.nan, "inf": math.inf,
-            "fraction": 0.9}
+            "fraction": 0.9, "numpy-complex": np.complex128(2)}
 
 
 _TRIG = trig((0.0, 0.5, 0.0))

@@ -3,10 +3,12 @@ and ``qibc`` re-exports exactly the library modules' lists."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -54,3 +56,24 @@ def test_every_value_with_an_array_or_a_cache_is_a_value():
         "QState", "OutcomeDistribution", "AlgorithmSpec",
     }
     assert [c.__name__ for c in held if not issubclass(c, _Value)] == []
+
+
+def test_every_private_definition_is_reached():
+    """Each private function, class and method in ``src/qibc`` is named by code there.
+
+    A name counts as reached when a ``Name``, an ``Attribute`` or an import
+    alias in the package's code (not a docstring) refers to it.
+    """
+    trees = [ast.parse(p.read_text()) for p in pathlib.Path(qibc.__file__).parent.glob("*.py")]
+    defined, used = set(), set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    private = {n for n in defined if n.startswith("_") and not n.endswith("__")}
+    assert sorted(private - used) == []
