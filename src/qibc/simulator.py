@@ -57,17 +57,26 @@ The compiled layers, with the outcome columns ``j`` and ``phi(j)``, are the
 algorithm's *program*: compiled once per ``AlgorithmSpec``, on first use,
 kept on the instance, so a function family (as in
 ``bounds.worst_prob_error``) and every later call on the same algorithm run
-from that one compile. It compiles each distinct layer object once: a layer
+from that one compile. The compile pass decides the path too: it stops at
+the first gate of another kind, and the circuit runs dense. It compiles each
+distinct layer object once into one ``(ops, support, memo)`` triple: a layer
 repeated as one shared tuple (the midpoint circuit's adder, an amplitude
 estimation iterate) is checked and compiled once, and every slot it fills
-shares its compiled list. An :class:`OutcomeDistribution` holds its outcomes
-as those three read-only columns, ``j``, ``p`` and ``phi``.
+shares its triple. ``support`` is the OR of the ops' control masks, the bits
+the layer reads, so the layer maps a label to ``label ^ delta`` with
+``delta`` a function of ``label & support`` alone; ``memo`` keeps each
+``delta`` once worked out, at most ``2^popcount(support) <= 2^nu`` entries,
+within the size budget while the cap holds. A copy of the algorithm starts
+with no program, so with empty memos. An :class:`OutcomeDistribution` holds
+its outcomes as three read-only columns, ``j``, ``p`` and ``phi``.
 
 On the label path an outcome is one point, the *hit*, and a function family
 runs as one batch (one function is a batch of one): one grid evaluation and
-one ``beta`` for every member, then the label loop per member, which yields
-the member's hit. :func:`distribution` makes the hit a one-hot row. The dense
-path runs one member at a time. Every distribution is one checked row.
+one ``beta`` for every member, then the label loop once per distinct code
+row, which yields the hit of every member that reads those codes (the
+fooling pair on the algorithm's own grid reads the zero function's codes).
+:func:`distribution` makes the hit a one-hot row. The dense path runs one
+member at a time. Every distribution is one checked row.
 
 States, algorithms and distributions are values: they compare and hash by
 value, a copy or an unpickled one is rebuilt by its constructor (no program
@@ -456,10 +465,21 @@ class Sin2Decode:
 Decode = Union[AffineDecode, Sin2Decode]
 
 
-class _Program(NamedTuple):
-    """What every run of one algorithm shares (see :attr:`AlgorithmSpec._program`)."""
+#: A compiled label layer: its ``(control_mask, flip_mask)`` ops, its support
+#: (the OR of their control masks) and its memo, ``label & support -> delta``.
+_Layer = tuple[list[tuple[int, int]], int, dict[int, int]]
 
-    layers: list[list[tuple[int, int]]] | None  # the compiled label layers; None runs dense
+
+class _Program(NamedTuple):
+    """What every run of one algorithm shares (see :attr:`AlgorithmSpec._program`).
+
+    Each distinct layer object's :data:`_Layer` is one triple, shared by every
+    slot the layer fills. Its memo grows as runs meet new ``label & support``
+    keys, at most ``2^popcount(support)`` entries, and a copy of the algorithm
+    starts with none.
+    """
+
+    layers: list[_Layer] | None  # the compiled label layers; None runs dense
     j: np.ndarray  # outcome indices 0..M-1, read-only int64
     phi: np.ndarray  # decode.phi(j, M) for each j, read-only float64
 
@@ -547,7 +567,8 @@ class AlgorithmSpec(_Value):
         """The compiled layers (None for a dense circuit) and the ``j`` and ``phi`` columns.
 
         Past the qubit cap it raises :class:`CapacityError` before compiling.
-        Each distinct layer object is inspected and compiled once. An affine
+        Each distinct layer object is inspected and compiled once, in the one
+        pass that also finds a gate of a dense kind (:func:`_compile`). An affine
         ``phi`` is one array pass, the same IEEE multiply and add as the
         scalar decode; ``sin^2`` stays a ``math.sin`` loop, which numpy's
         ``sin`` need not match bit for bit.
@@ -560,8 +581,7 @@ class AlgorithmSpec(_Value):
                 phi = self.decode.phi(j, M)  # type: ignore[arg-type]
         else:
             phi = np.array([self.decode.phi(k, M) for k in range(M)], dtype=np.float64)
-        label = all(g.gate in _LABEL_KINDS for layer in _distinct(self.layers) for g in layer)
-        return _Program(_compile(self) if label else None, _frozen(j), _frozen(phi))
+        return _Program(_compile(self), _frozen(j), _frozen(phi))
 
 
 def _distinct(layers: Iterable[tuple[GateOp, ...]]) -> Iterable[tuple[GateOp, ...]]:
@@ -713,30 +733,43 @@ def distribution(a: AlgorithmSpec, f: FunctionSpec | None = None) -> OutcomeDist
     return OutcomeDistribution._from_columns(prog.j, p, prog.phi)
 
 
-def _compile(a: AlgorithmSpec) -> list[list[tuple[int, int]]]:
-    """Each layer as ``(control_mask, flip_mask)`` pairs: flip where all controls read 1.
+def _compile(a: AlgorithmSpec) -> list[_Layer] | None:
+    """Each layer as ``(ops, support, memo)``, or None at the first gate that is not a label kind.
 
-    Each distinct layer object is compiled once, and every slot it fills gets
-    that one compiled list.
+    ``ops`` are ``(control_mask, flip_mask)`` pairs, flip where all controls
+    read 1; ``support`` is the OR of their control masks, the bits the layer
+    reads; ``memo`` starts empty. Each distinct layer object is compiled
+    once, and every slot it fills gets that one triple.
     """
     bit = [1 << (a.nu - 1 - t) for t in range(a.nu)]  # the mask of each qubit
-    compiled: dict[int, list[tuple[int, int]]] = {}
+    compiled: dict[int, _Layer] = {}
     for layer in _distinct(a.layers):
-        ops = compiled[id(layer)] = []
+        ops: list[tuple[int, int]] = []
+        support = 0
         for g in layer:
+            if g.gate not in _LABEL_KINDS:
+                return None
             *cs, x = map(bit.__getitem__, g.targets)
             if g.gate == "swap":
                 ops += [(cs[0], x), (x, cs[0]), (cs[0], x)]
+                support |= cs[0] | x
             elif g.gate in ("X", "mcx"):
-                ops.append((sum(cs), x))
+                c = sum(cs)
+                ops.append((c, x))
+                support |= c
+        compiled[id(layer)] = (ops, support, {})
     return [compiled[id(layer)] for layer in a.layers]
 
 
 def _hits(a: AlgorithmSpec, family: Sequence[Any]) -> list[int]:
     """The one outcome of the label circuit ``a`` on each member of ``family``.
 
-    The codes of every member come from one grid evaluation; the label loop
-    runs per member.
+    The codes of every member come from one grid evaluation, and the label
+    loop runs once per distinct code row, in first-seen order: members that
+    read the same codes share one hit. A layer's flips depend only on the
+    bits in its support, so it maps ``label`` to ``label ^ delta`` with
+    ``delta`` looked up in its memo by ``label & support``, and worked out
+    from its ops on a miss.
     """
     layers = a._program.layers
     assert layers is not None, "a dense circuit has no label loop"
@@ -745,20 +778,27 @@ def _hits(a: AlgorithmSpec, family: Sequence[Any]) -> list[int]:
     T = a.num_queries
     last = len(a.measure) - 1
     reads = [(a.nu - 1 - t, last - k) for k, t in enumerate(a.measure)]  # label bit, outcome bit
-    hits = []
-    for codes in _query_codes(a, family):
+    rows = list(map(tuple, _query_codes(a, family)))
+    hits = dict.fromkeys(rows)
+    for codes in hits:
         label = 0
-        for i, layer in enumerate(layers):
-            for c, x in layer:
-                if label & c == c:
-                    label ^= x
+        for i, (ops, support, memo) in enumerate(layers):
+            key = label & support
+            delta = memo.get(key)
+            if delta is None:
+                flipped = key  # the flips read only the support's bits
+                for c, x in ops:
+                    if flipped & c == c:
+                        flipped ^= x
+                delta = memo[key] = flipped ^ key
+            label ^= delta
             if i < T:
                 label ^= codes[label >> top] << low
         hit = 0
         for s, k in reads:
             hit |= (label >> s & 1) << k
-        hits.append(hit)
-    return hits
+        hits[codes] = hit
+    return [hits[codes] for codes in rows]
 
 
 # --------------------------------------------------------------------------

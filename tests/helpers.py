@@ -15,6 +15,9 @@ the two-loop trig verdict that the array tests replaced,
 replaced, and ``compile_loop`` is the gate-by-gate compile of every layer
 slot that the once-per-distinct-layer ``_compile`` replaced. Each is kept as its replacement's bitwise oracle. The pwl oracles
 read ``points`` through ``.tolist()``, so they compute in Python floats.
+``label_loop`` runs a label circuit on a list of qubit bits, gate by gate
+and with no memo, as the exact oracle of the memoized label loop, and
+``ae_outcome_law`` is amplitude estimation's outcome law in closed form.
 """
 
 from __future__ import annotations
@@ -521,6 +524,52 @@ def compile_loop(a) -> list[list[tuple[int, int]]]:
             elif g.gate in ("X", "mcx"):
                 ops.append((sum(cs), x))
     return layers
+
+
+def label_loop(a, f) -> int:
+    """The one outcome of the label circuit ``a`` on ``f``, on a list of qubit bits.
+
+    Gate by gate on every layer slot, with no compiled masks and no memo: X
+    flips its qubit, ``mcx`` its last target when its other targets read 1,
+    swap exchanges two bits, and phases change nothing. Each query reads the
+    index bits, takes that grid point's code from :func:`query_table_points`
+    and XORs it into the value bits. The outcome reads ``a.measure``
+    most-significant-first.
+    """
+    bits = [0] * a.nu
+    q = a.query
+    codes = [code for _, code in query_table_points(f, q)] if a.num_queries else []
+    for i, layer in enumerate(a.layers):
+        for g in layer:
+            t = g.targets
+            if g.gate == "swap":
+                bits[t[0]], bits[t[1]] = bits[t[1]], bits[t[0]]
+            elif g.gate in ("X", "mcx") and all(bits[c] for c in t[:-1]):
+                bits[t[-1]] ^= 1
+        if i < a.num_queries:
+            j = int("".join(map(str, bits[:q.m_prime])), 2)
+            code = format(codes[j], f"0{q.m_double_prime}b")
+            for k, b in enumerate(code, start=q.m_prime):
+                bits[k] ^= int(b)
+    return int("".join(str(bits[t]) for t in a.measure), 2)
+
+
+def ae_outcome_law(a: float, M: int) -> list[float]:
+    """Amplitude estimation's outcome probabilities in closed form, ``P(0..M-1)``.
+
+    Brassard, Hoyer, Mosca & Tapp, quant-ph/0005055, Thm. 11: with
+    ``a = sin^2(pi w)``, ``P(y) = (F(y - M w) + F(y + M w)) / 2`` where
+    ``F(d) = sin^2(pi d) / (M^2 sin^2(pi d / M))``, and ``F = 1`` where ``d`` is
+    a multiple of ``M``.
+    """
+    w = math.asin(math.sqrt(a)) / math.pi
+
+    def F(d: float) -> float:
+        if d % M == 0:
+            return 1.0
+        return math.sin(math.pi * d) ** 2 / (M * M * math.sin(math.pi * d / M) ** 2)
+
+    return [(F(y - M * w) + F(y + M * w)) / 2 for y in range(M)]
 
 
 def subset_local_error(dist: OutcomeDistribution, truth: float) -> float:

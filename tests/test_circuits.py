@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qibc import (
     AffineDecode,
     AlgorithmSpec,
     CapacityError,
+    FunctionSpec,
     GateOp,
     QState,
     build_ae_mean,
@@ -32,6 +35,7 @@ from qibc import (
     pwl,
     qft_gates,
     mcx_gates,
+    query_table,
     run,
     tau_point,
     zero_state,
@@ -39,7 +43,7 @@ from qibc import (
 from qibc.circuits import _controlled_add_value
 from qibc.exceptions import MAX_QUBITS, _past_budget
 from qibc.serialize import dumps_json
-from helpers import random_lipschitz_pwl
+from helpers import ae_outcome_law, random_lipschitz_pwl
 
 RAMP = pwl(((0.0, 0.0), (1.0, 1.0)))
 HAT = pwl(((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)))
@@ -334,6 +338,47 @@ class TestAmplitudeEstimation:
         assert alg.nu == 22
         with pytest.raises(CapacityError):
             distribution(alg, RAMP)
+
+
+class TestAmplitudeEstimationLaw:
+    """The dense amplitude-estimation run against its closed-form outcome law.
+
+    Tolerance. Each of the circuit's ``G`` gates is a unitary applied in
+    floating point; X, swap and the query move amplitudes exactly, and every
+    other gate rounds its (at most two) products and one sum per amplitude,
+    with coefficients themselves rounded, adding at most ``8u`` (``u = 2^-53``)
+    to the 2-norm distance from the exact state, since a unitary keeps that
+    distance. A probability is the squared norm of a block of that state, so
+    it is off by at most twice that distance, ``16 u G``, plus the sum's
+    rounding. The law itself rounds ``w`` through ``sqrt`` and ``asin``
+    (a few ``u``, moved by at most ``pi M`` per unit of ``w``) and ``F``
+    through a dozen operations, so it adds at most ``16 u * 32 M``. The
+    bound is ``16 u (G + 32 M)``: 6.3e-12 at the largest case, ``m' = 5`` and
+    ``t = 6``, where the observed error is about 1e-13.
+    """
+
+    @staticmethod
+    def check(m_prime: int, t: int, f: FunctionSpec) -> float:
+        alg = build_ae_mean(m_prime, t, 0.0, 1.0)
+        codes = [code for _, code in query_table(f, alg.query)]
+        a = sum(codes) / len(codes)
+        M = alg.outcome_count
+        tol = 16 * 2.0**-53 * (sum(map(len, alg.layers)) + 32 * M)
+        got = distribution(alg, f).p.tolist()
+        assert max(abs(p - q) for p, q in zip(got, ae_outcome_law(a, M))) <= tol
+        return a
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.floats(0.01, 0.99),
+           st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    def test_three_point_pwl(self, m_prime, t, x1, ys):
+        self.check(m_prime, t, pwl(((0.0, ys[0]), (x1, ys[1]), (1.0, ys[2]))))
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    @pytest.mark.parametrize("m_prime", range(1, 6))
+    def test_none_half_and_all_marked(self, m_prime, t):
+        for f, a in ((constant(0.25), 0.0), (RAMP, 0.5), (constant(0.75), 1.0)):
+            assert self.check(m_prime, t, f) == a
 
 
 #: sha256 of ``dumps_json(algorithm_to_json(build_ae_mean(*args)))``, taken when

@@ -9,7 +9,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +53,7 @@ from qibc import (
     tau_point,
     trig,
     verify_bound,
+    worst_prob_error,
     zero_state,
 )
 from qibc.serialize import dumps_json
@@ -57,6 +61,7 @@ from helpers import (
     LABEL_GATE_KINDS,
     beta_code_scalar,
     compile_loop,
+    label_loop,
     query_table_points,
     random_gate,
     random_lipschitz_pwl,
@@ -573,6 +578,12 @@ class TestLabelPath:
         assert got == pytest.approx([p for _, p, _ in _dense(a).entries], abs=1e-12)
 
 
+def pwl_functions():
+    """A pwl function on 2-6 equally spaced breakpoints, values in [-1.25, 1.25]."""
+    return st.lists(st.floats(-1.25, 1.25), min_size=2, max_size=6).map(
+        lambda ys: pwl(tuple((i / (len(ys) - 1), y) for i, y in enumerate(ys))))
+
+
 @st.composite
 def label_circuits(draw):
     """A label-kind circuit (nu <= 8, T <= 3) and a pwl function to query.
@@ -612,9 +623,23 @@ def label_circuits(draw):
     meas = tuple(draw(qubits)[: draw(st.integers(1, min(nu, 6)))])
     a = AlgorithmSpec(nu, q if T or draw(st.booleans()) else None, layers, meas,
                       AffineDecode(0.25, -1.0))
-    ys = draw(st.lists(st.floats(-1.25, 1.25), min_size=2, max_size=6))
-    f = pwl(tuple((i / (len(ys) - 1), y) for i, y in enumerate(ys)))
-    return a, f
+    return a, draw(pwl_functions())
+
+
+def _check_compile(a: AlgorithmSpec) -> None:
+    """``_compile(a)`` against ``compile_loop``: its ops, its support, a fresh memo, sharing.
+
+    Two slots share one triple, and so one memo, exactly when they hold one
+    layer object.
+    """
+    got = qibc.simulator._compile(a)
+    assert [ops for ops, _, _ in got] == compile_loop(a)
+    for ops, support, memo in got:
+        assert support == functools.reduce(operator.or_, (c for c, _ in ops), 0)
+        assert memo == {}
+    for i, k in itertools.combinations(range(len(a.layers)), 2):
+        same = a.layers[i] is a.layers[k]
+        assert (got[i] is got[k]) == same and (got[i][2] is got[k][2]) == same
 
 
 class TestLabelPathProperty:
@@ -632,11 +657,7 @@ class TestLabelPathProperty:
     @settings(max_examples=200, deadline=None)
     @given(label_circuits())
     def test_compile_equals_the_per_gate_loop(self, case):
-        a, _ = case
-        got = qibc.simulator._compile(a)
-        assert got == compile_loop(a)
-        for i, k in itertools.combinations(range(len(a.layers)), 2):
-            assert (got[i] is got[k]) == (a.layers[i] is a.layers[k])
+        _check_compile(case[0])
 
     @pytest.mark.parametrize("start", [(), (0,), (1,), (0, 1)], ids=str)
     def test_swap_under_every_input(self, start):
@@ -787,7 +808,10 @@ class TestSharedLayers:
     @pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
     def test_compile_equals_the_per_gate_loop_on_the_builders(self, build):
         a = build()
-        assert qibc.simulator._compile(a) == compile_loop(a)
+        if build is BUILT["ae(3,5)"]:  # H gates: no label program
+            assert qibc.simulator._compile(a) is None
+        else:
+            _check_compile(a)
 
     def test_midpoint_adders_are_one_object_in_the_layers_and_the_program(self):
         a = midpoint_algorithm(2, 8, -1.0, 1.0)
@@ -815,10 +839,123 @@ class TestSharedLayers:
         assert a.nu == 30
         compiled = qibc.simulator._compile(a)
         assert len(compiled) == 32_769
-        assert sum(map(len, compiled)) == 278_512
-        assert len({id(ops) for ops in compiled[1::2]}) == 1 and len(compiled[1::2]) == 16_384
+        assert sum(len(ops) for ops, _, _ in compiled) == 278_512
+        assert len({id(layer) for layer in compiled[1::2]}) == 1 and len(compiled[1::2]) == 16_384
         with pytest.raises(CapacityError):
             a._program
+
+
+def _memo_bounds(a: AlgorithmSpec) -> None:
+    """Check every memo of ``a``: at most ``2^popcount(support)`` keys, each within the support.
+
+    Each entry holds the flips its layer's ops make from its key.
+    """
+    for ops, support, memo in a._program.layers:
+        assert len(memo) <= 1 << bin(support).count("1")
+        for key, delta in memo.items():
+            assert key & ~support == 0
+            label = key
+            for c, x in ops:
+                if label & c == c:
+                    label ^= x
+            assert delta == label ^ key
+
+
+class TestLabelMemo:
+    """A code row runs once, and each distinct layer remembers its flips by the bits it reads."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_circuits(), st.lists(pwl_functions(), min_size=1, max_size=5))
+    def test_warm_memo_equals_the_oracles(self, case, more):
+        a, f = case
+        fs = [f, *more]
+        want = [label_loop(a, g) for g in fs]
+        for g, hit in zip(fs, want):  # later members meet the memos the earlier ones filled
+            got, dense = distribution(a, g), _dense(a, g)
+            assert got.p[hit] == 1.0
+            assert [(j, phi) for j, _, phi in got.entries] == [
+                (j, phi) for j, _, phi in dense.entries]
+            assert max(abs(x - y) for x, y in zip(got.p.tolist(), dense.p.tolist())) <= 1e-12
+        assert qibc.simulator._hits(a, fs) == want  # warm, as one family
+        _memo_bounds(a)
+        fresh = copy.deepcopy(a)  # a copy of the warm algorithm starts with no program
+        assert "_program" not in vars(fresh)
+        assert [qibc.simulator._hits(fresh, (g,))[0] for g in fs] == want
+        assert qibc.simulator._hits(fresh, fs[::-1]) == want[::-1]
+        _memo_bounds(fresh)
+
+    def test_memos_stay_within_their_support(self):
+        a = build_bound_fixture(1 / 40).algorithm
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            qibc.simulator._hits(a, [random_lipschitz_pwl(rng, 1.0) for _ in range(4)])
+        _memo_bounds(a)
+        assert all(len(memo) >= 1 for _, _, memo in a._program.layers)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and "_program" not in vars(b)
+            assert all(memo == {} for _, _, memo in b._program.layers)
+
+    def test_one_run_per_code_row(self, monkeypatch):
+        fx = build_bound_fixture(1 / 40)
+        a = fx.algorithm
+        rows = qibc.simulator._query_codes(a, fx.family)
+        assert rows[0] == rows[1] == rows[2] != rows[3]
+        assert fx.family[2] == constant(0.0)
+        gets = []
+
+        class CountingMemo(dict):
+            def get(self, key, default=None):
+                gets.append(key)
+                return super().get(key, default)
+
+        compile_once = qibc.simulator._compile
+
+        def counting(a):
+            layers = compile_once(a)
+            memos = {id(memo): CountingMemo() for _, _, memo in layers}
+            return [(ops, support, memos[id(memo)]) for ops, support, memo in layers]
+
+        monkeypatch.setattr(qibc.simulator, "_compile", counting)
+        hits = qibc.simulator._hits(a, fx.family)
+        assert len(gets) == 2 * len(a.layers)  # one look-up per slot for each of two rows
+        assert hits[0] == hits[1] == hits[2] != hits[3]
+        assert hits == [label_loop(a, f) for f in fx.family]
+
+    def test_cold_and_warm_reports_match(self):
+        fx = build_bound_fixture(1 / 40)
+        cold = verify_bound(build_bound_fixture(1 / 40).algorithm, fx.family, L=1.0, eps=1 / 40)
+        a = fx.algorithm
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            worst_prob_error(a, [random_lipschitz_pwl(rng, 1.0) for _ in range(4)])
+        assert sum(len(memo) for _, _, memo in a._program.layers) > len(a.layers)
+        warm = verify_bound(a, fx.family, L=1.0, eps=1 / 40)
+        assert warm == cold and warm.status == "ok" and warm.achieved_error == 1 / 64
+
+    def test_threads_sharing_one_algorithm_fill_its_memos_consistently(self):
+        # concurrent misses may work out one entry twice; every hit stays the oracle's
+        a = midpoint_algorithm(2, 8, -1.0, 1.0)
+        rng = np.random.default_rng(7)
+        families = [[random_lipschitz_pwl(rng, 1.0) for _ in range(3)] for _ in range(4)]
+        want = [[label_loop(a, f) for f in fam] for fam in families]
+        got: dict[int, list] = {}
+
+        def work(k: int) -> None:
+            got[k] = [qibc.simulator._hits(a, families[k]) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(families))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got[k] == [want[k]] * 20 for k in range(len(families)))
+        _memo_bounds(a)
 
 
 def _no_dense(*args, **kwargs):
