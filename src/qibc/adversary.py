@@ -60,9 +60,6 @@ class Quadrature(_Value):
             )
         object.__setattr__(self, "weights", ws)
 
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.design, self.weights)
-
     def apply(self, values: Any) -> float:
         """Evaluate the rule on observed values: the ``fsum`` of the products ``w_j * v_j``."""
         if len(values) != len(self.weights):

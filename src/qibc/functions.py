@@ -26,9 +26,11 @@ threads or processes.
 
 from __future__ import annotations
 
+import inspect
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -87,9 +89,11 @@ class Promise:
 class _Value:
     """Value semantics for a frozen dataclass that holds read-only arrays or a cache.
 
-    :meth:`_fields` gives the constructor's arguments in order. Hash and repr
-    see them with each array as tuples (rows of a 2-d array as tuples too),
-    so a value prints on one line as its tuple form, every float at full
+    A value is its constructor's arguments: :meth:`_arguments` names them
+    from the class's signature, so no subclass lists them again, and
+    :meth:`_fields` reads each off the instance, in order. Hash and repr see
+    them with each array as tuples (rows of a 2-d array as tuples too), so a
+    value prints on one line as its tuple form, every float at full
     precision. ``==`` compares arrays with ``np.array_equal``, the tuples'
     verdict without building them, so ``-0.0 == 0.0`` for both.
     ``__reduce__`` rebuilds through ``__init__`` from the arguments, arrays as
@@ -98,8 +102,14 @@ class _Value:
     entries or spike.
     """
 
+    @classmethod
+    @cache
+    def _arguments(cls) -> tuple[str, ...]:
+        """The names of the constructor's parameters, in order; worked out once per class."""
+        return tuple(inspect.signature(cls).parameters)
+
     def _fields(self) -> tuple[Any, ...]:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self._arguments())
 
     def _key(self) -> tuple[Any, ...]:
         return tuple(
@@ -118,7 +128,7 @@ class _Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._key()))
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(self._arguments(), self._key()))
         return f"{type(self).__name__}({shown})"
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -166,9 +176,6 @@ class FunctionSpec(_Value):
             raise ValidationError(
                 f"unknown family {self.family!r}; expected pwl | constant | trig"
             )
-
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.family, self.points, self.value, self.coefficients, self.promise)
 
 
 def _breakpoint_array(points: Any) -> np.ndarray:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -100,9 +99,6 @@ class Design(_Value):
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_spike_slot", None)
 
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.points,)
-
     @property
     def n(self) -> int:
         return len(self.points)
@@ -119,9 +115,6 @@ class DataVector(_Value):
         if len(vals) < 1:
             raise ValidationError("a data vector needs at least one value")
         object.__setattr__(self, "values", vals)
-
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.values,)
 
 
 @dataclass(frozen=True)

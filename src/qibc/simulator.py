@@ -187,9 +187,6 @@ class QState(_Value):
             raise ValidationError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.nu, self.amplitudes)
-
 
 def zero_state(nu: int) -> QState:
     """The all-zeros computational basis state on ``nu`` qubits."""
@@ -541,9 +538,6 @@ class AlgorithmSpec(_Value):
         if not isinstance(self.decode, (AffineDecode, Sin2Decode)):
             raise ValidationError(f"unknown decode {self.decode!r}")
 
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.nu, self.query, self.layers, self.measure, self.decode)
-
     @property
     def num_queries(self) -> int:
         """T: how many times ``Q_f`` runs."""
@@ -672,12 +666,6 @@ class OutcomeDistribution(_Value):
     def entries(self) -> tuple[tuple[int, float, float], ...]:
         """The ``(j, p, phi)`` tuples, in outcome order."""
         return tuple(zip(self.j.tolist(), self.p.tolist(), self.phi.tolist()))
-
-    def _fields(self) -> tuple[Any, ...]:
-        return (self.entries,)
-
-    def __repr__(self) -> str:  # named by the constructor's argument, not the columns
-        return f"{self.__class__.__qualname__}(entries={self.entries!r})"
 
 
 def _sealed(

@@ -58,6 +58,30 @@ def test_every_value_with_an_array_or_a_cache_is_a_value():
     assert [c.__name__ for c in held if not issubclass(c, _Value)] == []
 
 
+def test_no_value_lists_its_own_arguments():
+    """Every ``_Value`` subclass takes its argument list from its constructor.
+
+    None defines ``_fields``, ``_arguments`` or ``__repr__``: ``_Value`` reads
+    the names from the signature, so a value is exactly its constructor's
+    arguments.
+    """
+    values = {
+        cls for name in MODULES for cls in vars(importlib.import_module(name)).values()
+        if inspect.isclass(cls) and issubclass(cls, _Value) and cls is not _Value
+    }
+    assert {c.__name__ for c in values} == {
+        "FunctionSpec", "Design", "DataVector", "Quadrature",
+        "QState", "OutcomeDistribution", "AlgorithmSpec",
+    }
+    assert sorted(
+        f"{c.__name__}.{name}" for c in values
+        for name in ("_fields", "_arguments", "__repr__") if name in vars(c)
+    ) == []
+    named = {c.__name__: c._arguments() for c in values}
+    assert named["OutcomeDistribution"] == ("entries",)  # its __init__'s, not its columns
+    assert named["Quadrature"] == ("design", "weights")
+
+
 def test_every_private_definition_is_reached():
     """Each private function, class and method in ``src/qibc`` is named by code there.
 
