@@ -61,13 +61,21 @@ class Quadrature(_Value):
         object.__setattr__(self, "weights", ws)
 
     def apply(self, values: Any) -> float:
-        """Evaluate the rule on observed values: the ``fsum`` of the products ``w_j * v_j``."""
-        if len(values) != len(self.weights):
-            raise ValidationError(
-                f"{len(values)} values for a {len(self.weights)}-weight rule"
-            )
+        """Evaluate the rule on observed values: the ``fsum`` of the products ``w_j * v_j``.
+
+        An infinite or NaN value or product is summed as ``fsum`` sums it; a
+        sum ``fsum`` cannot form (``inf - inf``, or an overflow of the
+        partial sums) raises :class:`ValidationError`.
+        """
         vs = _float_array(values, "observed values")
-        return math.fsum(memoryview(self.weights * vs))
+        if len(vs) != len(self.weights):
+            raise ValidationError(f"{len(vs)} values for a {len(self.weights)}-weight rule")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the scalar gives
+            products = self.weights * vs
+        try:
+            return math.fsum(memoryview(products))
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"the weighted values have no float sum: {exc}") from exc
 
 
 def _fooling_bound(L: float) -> float:

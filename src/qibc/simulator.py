@@ -158,6 +158,8 @@ def _check_width(nu: Any) -> int:
 class QState(_Value):
     """A unit vector of ``2^nu`` complex amplitudes (a read-only copy of the input).
 
+    Amplitudes that are not complex numbers, or whose squared norm is not
+    within ``NORM_TOL`` of 1 (a NaN norm included), raise :class:`ValidationError`.
     ``==``, hash and repr see the amplitudes as a tuple (:class:`_Value`).
     """
 
@@ -166,7 +168,11 @@ class QState(_Value):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", _check_width(self.nu))
-        self._seal(np.array(self.amplitudes, dtype=np.complex128))
+        try:
+            amps = np.array(self.amplitudes, dtype=np.complex128)
+        except _CONVERSION_ERRORS as exc:
+            raise ValidationError(f"amplitudes must be complex numbers: {exc}") from exc
+        self._seal(amps)
 
     @classmethod
     def _owning(cls, nu: int, amps: np.ndarray) -> QState:
@@ -182,8 +188,9 @@ class QState(_Value):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected ({1 << self.nu},)"
             )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm2 = float(np.sum(np.abs(amps) ** 2))
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise ValidationError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 

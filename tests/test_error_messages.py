@@ -7,6 +7,7 @@ readers' errors are pinned in ``test_serialize.py``, the CLI's in
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -21,6 +22,7 @@ from qibc import (
     FunctionSpec,
     OutcomeCluster,
     OutcomeDistribution,
+    QState,
     Quadrature,
     QuerySpec,
     RadiusReport,
@@ -40,6 +42,7 @@ _F = constant(0.0)
 _Q = QuerySpec(1, 1, 0.0, 1.0)
 _DECODE = AffineDecode(1.0, 0.0)
 _FIX = build_bound_fixture(0.25)
+_RULE = Quadrature(Design((0.25, 0.75)), (1.0, 1.0))
 _REPORT = dict(nu=2, n_eps=1, classical_evals=1, rhs=0.0, satisfied=True, status="ok",
                achieved_error=0.0, eps=0.25, L=1.0, c=1.0, evals_available=2, evals_needed=1,
                evals_ok=True)
@@ -94,6 +97,24 @@ ERROR_SITES = {
     "Quadrature.apply-length": (
         lambda: Quadrature(Design((0.5,)), (1.0,)).apply((0.0, 0.0)),
         "2 values for a 1-weight rule"),
+    "Quadrature.apply-scalar": (
+        lambda: _RULE.apply(5), "observed values must be real numbers: 'int' object is not iterable"),
+    "Quadrature.apply-inf-minus-inf": (
+        lambda: _RULE.apply([math.inf, -math.inf]),
+        "the weighted values have no float sum: -inf + inf in fsum"),
+    "Quadrature.apply-overflow": (
+        lambda: _RULE.apply([1e308, 1e308]),
+        "the weighted values have no float sum: intermediate overflow in fsum"),
+    "QState.nan-amplitude": (
+        lambda: QState(1, [math.nan, 0.0]), "state norm^2 deviates from 1 by nan"),
+    "QState.none-amplitude": (  # numpy reads None as nan+nanj
+        lambda: QState(1, [1.0, None]), "state norm^2 deviates from 1 by nan"),
+    "QState.string-amplitude": (
+        lambda: QState(1, [1.0, "x"]),
+        "amplitudes must be complex numbers: complex() arg is a malformed string"),
+    "QState.object-amplitudes": (
+        lambda: QState(1, object()),
+        "amplitudes must be complex numbers: must be real number, not object"),
 }
 
 
