@@ -16,8 +16,9 @@ replaced, and ``compile_loop`` is the gate-by-gate compile of every layer
 slot that the once-per-distinct-layer ``_compile`` replaced. Each is kept as its replacement's bitwise oracle. The pwl oracles
 read ``points`` through ``.tolist()``, so they compute in Python floats.
 ``label_loop`` runs a label circuit on a list of qubit bits, gate by gate
-and with no memo, as the exact oracle of the memoized label loop, and
-``ae_outcome_law`` is amplitude estimation's outcome law in closed form.
+and with no memo, as the exact oracle of the memoized label loop,
+``ae_outcome_law`` is amplitude estimation's outcome law in closed form, and
+``exact_H`` is the interval ``H`` of float data in exact rationals.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,34 @@ def radius_closed_form(d: Design, L: float) -> float:
     t = d.points
     pieces = [t[0] ** 2 / 2, *((b - a) ** 2 / 4 for a, b in zip(t, t[1:])), (1 - t[-1]) ** 2 / 2]
     return L * math.fsum(pieces)
+
+
+def exact_H(ts, ys, L: float) -> tuple[Fraction, Fraction]:
+    """The exact ``(h_lo, h_hi)`` of float data, for ``L > 0``, in rationals.
+
+    The integral of the upper envelope ``min_i (y_i + L |x - t_i|)`` in
+    closed form, every term a ``Fraction``. The end pieces rise from ``t_1``
+    back to 0 and from ``t_n`` on to 1. On each gap of width ``g`` only the
+    two adjacent cones bind, and they meet ``a = ((y2 - y1)/L + g)/2`` from
+    ``t1``, clamped to ``[0, g]``; with ``b = g - a`` the gap contributes
+    ``y1 a + L a^2/2 + y2 b + L b^2/2``. The lower envelope is the mirror of
+    the upper envelope of ``-y``.
+    """
+    t = [Fraction(v) for v in ts]
+    L = Fraction(L)
+
+    def upper(y: list[Fraction]) -> Fraction:
+        head, tail = t[0], 1 - t[-1]
+        total = y[0] * head + L * head**2 / 2 + y[-1] * tail + L * tail**2 / 2
+        for t1, y1, t2, y2 in zip(t, y, t[1:], y[1:]):
+            g = t2 - t1
+            a = min(max(((y2 - y1) / L + g) / 2, Fraction(0)), g)
+            b = g - a
+            total += y1 * a + L * a**2 / 2 + y2 * b + L * b**2 / 2
+        return total
+
+    y = [Fraction(v) for v in ys]
+    return -upper([-v for v in y]), upper(y)
 
 
 def zero_data_envelopes(d: Design, L: float) -> Envelope:

