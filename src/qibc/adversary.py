@@ -70,7 +70,7 @@ class Quadrature(_Value):
         vs = _float_array(values, "observed values")
         if len(vs) != len(self.weights):
             raise ValidationError(f"{len(vs)} values for a {len(self.weights)}-weight rule")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the scalar gives
+        with np.errstate(over="ignore", invalid="ignore"):  # fsum takes inf and nan products
             products = self.weights * vs
         try:
             return math.fsum(memoryview(products))
